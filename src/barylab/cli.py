@@ -52,7 +52,7 @@ def _write(path, text):
 
 def _fmt(x):
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))
     return str(x)
 
 
@@ -113,10 +113,13 @@ def cmd_wasserstein(args):
     if args.graph:
         g = load_graph(args.graph)
         by_str = {str(v): v for v in g.vertices}
+        from_source = {}
 
         def metric(a, b):
-            da = g.dijkstra(by_str.get(str(a), a))
-            return da[by_str.get(str(b), b)]
+            a = by_str.get(str(a), a)
+            if a not in from_source:
+                from_source[a] = g.dijkstra(a)
+            return from_source[a][by_str.get(str(b), b)]
     else:
         def metric(a, b):
             return float(hyp.dist(np.array(a), np.array(b)))

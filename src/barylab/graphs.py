@@ -83,14 +83,33 @@ def heawood_graph(edge_length: float = 1.0) -> MMGraph:
 # hyperbolic ball nets
 # ---------------------------------------------------------------------------
 
+def _closer_than(points, others, spacing, top):
+    """Whether some row of `points` lies closer than `spacing` to some row of
+    `others`, as `hyp.dist_many` measures it, row by row with early exit.
+
+    dist_many runs only on the rows q of `others` with -<p, q>_M within
+    cosh(spacing) + 1e-9 * p0 * top, where `top` bounds every q0.  Any q
+    that dist_many puts closer than `spacing` passes: -<p, q>_M is cosh of
+    the distance, and both sides carry rounding of order 1e-15 * p0 * q0.
+    So the answer is the one dist_many gives on all of `others`.
+    """
+    flip = np.ones(points.shape[-1])
+    flip[0] = -1.0
+    for p in points:
+        mink = others @ (p * flip)
+        near = others[mink >= -(math.cosh(spacing) + 1e-9 * p[0] * top)]
+        if len(near) and np.min(hyp.dist_many(p, near)) < spacing:
+            return True
+    return False
+
+
 def _greedy_net(points, spacing):
+    top = float(np.max(points[:, 0]))
     kept = []
     buf = np.empty_like(points)
     for idx, p in enumerate(points):
-        if kept:
-            d = hyp.dist_many(p, buf[: len(kept)])
-            if np.min(d) < spacing:
-                continue
+        if kept and _closer_than(p[None], buf[: len(kept)], spacing, top):
+            continue
         buf[len(kept)] = p
         kept.append(idx)
     return kept
@@ -104,9 +123,14 @@ def ball_volume(n, radius):
 
 
 def _sample_ball(rng, n, radius, count):
-    """Points roughly uniform in a hyperbolic ball: sinh^(n-1) radial law."""
-    pts = np.empty((count, n + 1))
-    o = hyp.basepoint(n)
+    """Points roughly uniform in a hyperbolic ball: sinh^(n-1) radial law.
+
+    The draws are made one point at a time (a direction, then a radius), so
+    the stream of random numbers does not depend on `count`; the
+    exponential map is then applied to the whole batch, with cosh and sinh
+    taken from libm element by element.
+    """
+    vel = np.zeros((count, n + 1))
     grid = np.linspace(0, radius, 4096)
     density = np.sinh(grid) ** (n - 1)
     cdf = np.cumsum(density)
@@ -114,11 +138,35 @@ def _sample_ball(rng, n, radius, count):
     for i in range(count):
         u = rng.normal(size=n)
         u /= np.linalg.norm(u)
-        r = float(np.interp(rng.uniform(), cdf, grid))
-        v = np.zeros(n + 1)
-        v[1:] = r * u
-        pts[i] = hyp.exp(o, v)
-    return pts
+        vel[i, 1:] = float(np.interp(rng.uniform(), cdf, grid)) * u
+    # hyp.exp at the basepoint o: cosh(theta) o + (sinh(theta) / theta) v
+    theta = np.sqrt(np.maximum(hyp.minkowski_dot(vel, vel), 0.0))
+    vel *= np.fromiter((math.sinh(t) / t if t >= 1e-300 else 0.0 for t in theta.tolist()),
+                       float, count)[:, None]
+    vel[:, 0] += np.fromiter(map(math.cosh, theta.tolist()), float, count)
+    return hyp.project_to_sheet(vel)
+
+
+def _close_pairs(rows, points, threshold):
+    """(i, j, d) for every d = dist(rows[i], points[j]) <= threshold, in
+    row-major order, from distance blocks of a few rows at a time."""
+    # ~4096 pairs keep each temporary near 128 KB; larger blocks made the
+    # resident set grow from one fixture build to the next
+    block = max(1, 4096 // len(points))
+    for lo in range(0, len(rows), block):
+        d = hyp.dist_many(rows[lo:lo + block, None, :], points)
+        i, j = np.nonzero(d <= threshold)
+        yield from zip((i + lo).tolist(), j.tolist(), d[i, j].tolist())
+
+
+def _rotate(rot, points):
+    """rot @ p for each row p, summed column by column in the order of a
+    matrix-vector product (a matrix-matrix product may fuse multiply-adds
+    and round differently)."""
+    out = points[:, :1] * rot[:, 0]
+    for k in range(1, rot.shape[1]):
+        out += points[:, k:k + 1] * rot[:, k]
+    return out
 
 
 def hyperbolic_ball_net(rng, n=3, radius=2.0, spacing=0.35, edge_factor=2.0,
@@ -134,13 +182,8 @@ def hyperbolic_ball_net(rng, n=3, radius=2.0, spacing=0.35, edge_factor=2.0,
     kept = _greedy_net(samples, spacing)
     coords = samples[kept]
     m = len(coords)
-    edges = []
-    threshold = edge_factor * spacing
-    for i in range(m):
-        d = hyp.dist_many(coords[i], coords[i + 1:])
-        for off in np.nonzero(d <= threshold)[0]:
-            j = i + 1 + int(off)
-            edges.append((i, j, float(d[off])))
+    edges = [(i, j, d) for i, j, d in _close_pairs(coords, coords, edge_factor * spacing)
+             if j > i]
     graph = MMGraph(list(range(m)), edges)
     embedding = {i: coords[i] for i in range(m)}
     return graph, embedding
@@ -160,59 +203,47 @@ def rotation_symmetric_net(rng, order=4, n=3, radius=2.0, spacing=0.35,
     rot = hyp.rotation(2 * math.pi / order, n, i=n - 1, j=n)
     target = max(200, int(oversample * ball_volume(n, radius) / spacing**n / order))
     samples = _sample_ball(rng, n, radius, target)
-    # orbit representatives kept when the whole orbit is spacing-separated
-    orbits = []
-    buf = np.empty((len(samples) * order, n + 1))
+    # orbit representatives kept, in sample order, when the whole orbit is
+    # spacing-separated from itself and from every orbit kept before it
+    top = float(np.max(samples[:, 0]))  # rotations keep x0, up to rounding
+    kept = np.empty((64, order, n + 1))
     filled = 0
-    for p in samples:
-        orbit = [p]
-        for _ in range(order - 1):
-            orbit.append(hyp.project_to_sheet(rot @ orbit[-1]))
-        orbit = np.array(orbit)
-        ok = True
-        if filled:
-            for q in orbit:
-                if np.min(hyp.dist_many(q, buf[:filled])) < spacing:
-                    ok = False
-                    break
-        if ok:
-            # the orbit must also be internally separated
-            for a in range(order):
-                for b in range(a + 1, order):
-                    if hyp.dist(orbit[a], orbit[b]) < spacing:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            orbits.append(orbit)
-            buf[filled:filled + order] = orbit
-            filled += order
-    vertices = [(o, s) for o in range(len(orbits)) for s in range(order)]
-    embedding = {(o, s): orbits[o][s] for o, s in vertices}
+    upper = np.triu(np.ones((order, order), dtype=bool), 1)
+    for lo in range(0, len(samples), 1024):
+        batch = np.empty((min(1024, len(samples) - lo), order, n + 1))
+        batch[:, 0] = samples[lo:lo + 1024]
+        for k in range(1, order):
+            batch[:, k] = hyp.project_to_sheet(_rotate(rot, batch[:, k - 1]))
+        internal = hyp.dist_many(batch[:, :, None, :], batch[:, None, :, :])
+        separated = np.all(internal[:, upper] >= spacing, axis=1)
+        for orbit in batch[separated]:
+            if filled and _closer_than(orbit, kept[:filled].reshape(-1, n + 1), spacing, top):
+                continue
+            if filled == len(kept):
+                kept = np.concatenate([kept, np.empty_like(kept)])
+            kept[filled] = orbit
+            filled += 1
+    orbits = kept[:filled]
+    del samples, batch, internal
+    vertices = [(o, s) for o in range(filled) for s in range(order)]
+    embedding = {(o, s): orbits[o, s] for o, s in vertices}
     # representative edges computed once per orbit pair, then rotated, so the
     # edge set and lengths are exactly invariant under the deck permutation
     edges = []
-    threshold = edge_factor * spacing
-    n_orb = len(orbits)
-    for o1 in range(n_orb):
-        p = orbits[o1][0]
-        for o2 in range(o1, n_orb):
-            d = hyp.dist_many(p, orbits[o2])
-            for s in range(order):
-                if d[s] > threshold:
-                    continue
-                if o1 == o2:
-                    # orbit-internal chord of step s: count each pair once
-                    if s == 0 or s > order - s:
-                        continue
-                    shifts = range(order // 2) if 2 * s == order else range(order)
-                else:
-                    shifts = range(order)
-                for shift in shifts:
-                    a = (o1, shift)
-                    b = (o2, (s + shift) % order)
-                    edges.append((a, b, float(d[s])))
+    for o1, col, d in _close_pairs(orbits[:, 0], orbits.reshape(-1, n + 1),
+                                   edge_factor * spacing):
+        o2, s = divmod(col, order)
+        if o2 < o1:
+            continue
+        if o1 == o2:
+            # orbit-internal chord of step s: count each pair once
+            if s == 0 or s > order - s:
+                continue
+            shifts = range(order // 2) if 2 * s == order else range(order)
+        else:
+            shifts = range(order)
+        for shift in shifts:
+            edges.append(((o1, shift), (o2, (s + shift) % order), d))
     graph = MMGraph(vertices, edges)
     deck = {(o, s): (o, (s + 1) % order) for o, s in vertices}
     return graph, embedding, deck, rot

@@ -10,7 +10,6 @@ group, conjugated along a spanning tree.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 from dataclasses import dataclass
@@ -24,8 +23,50 @@ from .errors import (
 )
 
 
+def _csr(n, tails, heads, lengths):
+    """CSR arrays (indptr, target, length) of half-edges, each vertex's
+    half-edges kept in input order."""
+    tails = np.asarray(tails, dtype=np.int64)
+    order = np.argsort(tails, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    return (indptr, np.asarray(heads, dtype=np.int64)[order],
+            np.asarray(lengths, dtype=float)[order])
+
+
+def _out_edges(indptr, rows):
+    """Half-edge positions leaving each vertex of `rows`, row by row, and
+    the number per row."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    first = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) + np.repeat(starts - first, counts), counts
+
+
+def _component_labels(indptr, target):
+    """Connected-component label of each vertex, numbered from 0 in order
+    of each component's smallest vertex index (breadth-first frontiers)."""
+    labels = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    label = 0
+    while (unlabelled := np.flatnonzero(labels < 0)).size:
+        frontier = unlabelled[:1]
+        labels[frontier] = label
+        while frontier.size:
+            heads = target[_out_edges(indptr, frontier)[0]]
+            frontier = np.unique(heads[labels[heads] < 0])
+            labels[frontier] = label
+        label += 1
+    return labels
+
+
 class MMGraph:
-    """Connected weighted graph with a nonnegative vertex measure."""
+    """Connected weighted graph with a nonnegative vertex measure.
+
+    Adjacency is one CSR structure over vertex indices, built once: the
+    half-edges leaving vertex i are ``_target[_indptr[i]:_indptr[i + 1]]``
+    with lengths ``_length[...]``, in edge order (a loop contributes one
+    half-edge).
+    """
 
     def __init__(self, vertices, edges, measure=None):
         self.vertices = list(vertices)
@@ -33,19 +74,23 @@ class MMGraph:
         if len(self.index) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
         self.edges = []
-        self._adj = [[] for _ in self.vertices]
+        tails, heads, lengths = [], [], []
         for u, v, length in edges:
             if u not in self.index or v not in self.index:
                 raise GraphLookupError(f"edge ({u!r}, {v!r}) references unknown vertex")
             length = float(length)
             if length <= 0:
                 raise ValueError("edge lengths must be positive")
-            e = len(self.edges)
             self.edges.append((u, v, length))
             iu, iv = self.index[u], self.index[v]
-            self._adj[iu].append((iv, length, e))
+            tails.append(iu)
+            heads.append(iv)
+            lengths.append(length)
             if iu != iv:
-                self._adj[iv].append((iu, length, e))
+                tails.append(iv)
+                heads.append(iu)
+                lengths.append(length)
+        self._indptr, self._target, self._length = _csr(self.n, tails, heads, lengths)
         if measure is None:
             measure = {v: 1.0 for v in self.vertices}
         self.measure = {v: float(measure.get(v, 0.0)) for v in self.vertices}
@@ -54,7 +99,7 @@ class MMGraph:
             raise ValueError("vertex measures must be nonnegative")
         if self.total_measure <= 0:
             raise ValueError("total measure must be positive")
-        if not self._is_connected():
+        if _component_labels(self._indptr, self._target).max() > 0:
             raise ValueError("graph must be connected")
 
     # -- basic queries ------------------------------------------------------
@@ -68,50 +113,49 @@ class MMGraph:
         return float(np.sum(self._measure_arr))
 
     def neighbors(self, v):
-        return [(self.vertices[i], length) for i, length, _ in self._adj[self.index[v]]]
+        i = self.index[v]
+        lo, hi = self._indptr[i], self._indptr[i + 1]
+        return [(self.vertices[j], length) for j, length in
+                zip(self._target[lo:hi].tolist(), self._length[lo:hi].tolist())]
 
     def degree(self, v):
         i = self.index[v]
-        return sum(2 if j == i else 1 for j, _, _ in self._adj[i])
-
-    def _is_connected(self):
-        if not self.vertices:
-            return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j, _, _ in self._adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == self.n
+        heads = self._target[self._indptr[i]:self._indptr[i + 1]]
+        return len(heads) + int(np.sum(heads == i))
 
     def dijkstra(self, source, cutoff=None):
-        """Distances from `source`; vertices beyond `cutoff` are omitted."""
+        """Distances from `source`; vertices beyond `cutoff` are omitted.
+
+        Keys come in settle order, i.e. sorted by (distance, vertex index).
+        Computed by label-correcting relaxation (Bellman, 1958): each round
+        relaxes the out-edges of the vertices whose label just improved.
+        With positive lengths this reaches the float fixed point
+        d[j] = min_u fl(d[u] + w(u, j)), the same values a heap-based
+        Dijkstra settles.
+        """
         if source not in self.index:
             raise GraphLookupError(f"unknown vertex {source!r}")
-        dist = {}
-        heap = [(0.0, self.index[source])]
-        while heap:
-            d, i = heapq.heappop(heap)
-            if i in dist:
-                continue
-            if cutoff is not None and d > cutoff:
-                continue
-            dist[i] = d
-            for j, length, _ in self._adj[i]:
-                if j not in dist:
-                    nd = d + length
-                    if cutoff is None or nd <= cutoff:
-                        heapq.heappush(heap, (nd, j))
-        return {self.vertices[i]: d for i, d in dist.items()}
+        limit = np.inf if cutoff is None else cutoff
+        dist = np.full(self.n, np.inf)
+        improved = np.zeros(self.n, dtype=bool)
+        dist[self.index[source]] = 0.0
+        frontier = np.array([self.index[source]])
+        while frontier.size:
+            half, counts = _out_edges(self._indptr, frontier)
+            cand = np.repeat(dist[frontier], counts) + self._length[half]
+            heads = self._target[half]
+            better = (cand < dist[heads]) & (cand <= limit)
+            cand, heads = cand[better], heads[better]
+            np.minimum.at(dist, heads, cand)
+            improved[frontier] = False
+            improved[heads] = True
+            frontier = np.flatnonzero(improved)
+        reached = np.flatnonzero(dist <= limit)
+        order = reached[np.argsort(dist[reached], kind="stable")]
+        return dict(zip([self.vertices[i] for i in order.tolist()], dist[order].tolist()))
 
     def distance(self, u, v):
         return self.dijkstra(u)[v]
-
-    def eccentricity(self, v):
-        return max(self.dijkstra(v).values())
 
     # -- serialization ------------------------------------------------------
 
@@ -330,8 +374,15 @@ def build_cover(base: MMGraph, voltage: dict) -> CoverMap:
     measure = {(v, s): base.measure[v] for v, s in vertices}
 
     # connectivity check before constructing (MMGraph refuses disconnected)
-    comp = _components(vertices, edges)
-    if len(comp) > 1:
+    index = {w: i for i, w in enumerate(vertices)}
+    tails = [index[a] for a, _, _ in edges]
+    heads = [index[b] for _, b, _ in edges]
+    indptr, target, _ = _csr(len(vertices), tails + heads, heads + tails,
+                             np.zeros(2 * len(edges)))
+    labels = _component_labels(indptr, target)
+    if labels.max() > 0:
+        comp = [[vertices[i] for i in np.flatnonzero(labels == c)]
+                for c in range(labels.max() + 1)]
         raise DisconnectedCoverError(
             f"voltage cover splits into {len(comp)} components", components=comp
         )
@@ -339,30 +390,6 @@ def build_cover(base: MMGraph, voltage: dict) -> CoverMap:
     projection = {(v, s): v for v, s in vertices}
     deck = _deck_transformations(base, perms, k)
     return CoverMap(total=total, base=base, projection=projection, deck=deck, sheets=k)
-
-
-def _components(vertices, edges):
-    adj = {v: [] for v in vertices}
-    for u, v, _ in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = set()
-    comps = []
-    for v in vertices:
-        if v in seen:
-            continue
-        comp = []
-        stack = [v]
-        seen.add(v)
-        while stack:
-            w = stack.pop()
-            comp.append(w)
-            for nb in adj[w]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        comps.append(comp)
-    return comps
 
 
 def _deck_transformations(base: MMGraph, perms: dict, k: int, max_sheets=8):

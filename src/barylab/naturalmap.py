@@ -37,7 +37,7 @@ with the excluded mass reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,18 +80,6 @@ class NaturalMapConfig:
             )
         if self.truncation_radius <= 0:
             raise ConfigurationError("truncation radius must be positive")
-
-    def with_s(self, s):
-        return NaturalMapConfig(
-            s=s,
-            truncation_radius=self.truncation_radius,
-            h_estimate=self.h_estimate,
-            h_residual=self.h_residual,
-            tail_tolerance=self.tail_tolerance,
-            solver_tol=self.solver_tol,
-            exclusion_threshold=self.exclusion_threshold,
-            chart_rank_tol=self.chart_rank_tol,
-        )
 
 
 def s_grid(h_estimate: float, levels: int = 7):
@@ -485,7 +473,7 @@ def run_natural_map(cover: MMGraph, f_tilde, base_cfg: NaturalMapConfig,
         dists = cover.dijkstra(x)
         neighbor_dists = {u: cover.dijkstra(u) for u, _ in cover.neighbors(x) if u != x}
         for s in s_values:
-            cfg = base_cfg.with_s(s)
+            cfg = replace(base_cfg, s=s)
             tensors = assemble_tensors(cover, f_tilde, x, cfg,
                                        dists=dists, neighbor_dists=neighbor_dists)
             jac, cond = jacobian_formula(tensors.H, tensors.K, tensors.L, tensors.A, s)

@@ -2,10 +2,13 @@
 
 Each oracle avoids the code path it checks: the barycenter oracle does grid
 search over a tangent chart (no gradient descent), the Wasserstein oracle
-enumerates unit assignments, and the entropy oracle uses closed-form sphere
-counts on regular trees.
+enumerates unit assignments, the entropy oracle uses closed-form sphere
+counts on regular trees, the shortest-path oracle is a binary-heap Dijkstra
+over the edge list, and the rotation-net oracle builds the fixture one
+sample and one orbit pair at a time.
 """
 
+import heapq
 import itertools
 import math
 
@@ -117,3 +120,99 @@ def subgroup_index_by_coset_tables(words, rank, max_index=5):
         if found:
             best = k
     return best
+
+
+def heap_dijkstra(g, source, cutoff=None):
+    """Binary-heap Dijkstra over `g.edges`; keys in settle order."""
+    adj = [[] for _ in g.vertices]
+    for u, v, length in g.edges:
+        iu, iv = g.index[u], g.index[v]
+        adj[iu].append((iv, length))
+        if iu != iv:
+            adj[iv].append((iu, length))
+    dist = {}
+    heap = [(0.0, g.index[source])]
+    while heap:
+        d, i = heapq.heappop(heap)
+        if i in dist:
+            continue
+        if cutoff is not None and d > cutoff:
+            continue
+        dist[i] = d
+        for j, length in adj[i]:
+            if j not in dist:
+                nd = d + length
+                if cutoff is None or nd <= cutoff:
+                    heapq.heappush(heap, (nd, j))
+    return {g.vertices[i]: d for i, d in dist.items()}
+
+
+def scalar_rotation_net(rng, order=4, n=3, radius=2.0, spacing=0.35,
+                        edge_factor=2.0, oversample=30):
+    """Rotation-symmetric ball net, one sample and one orbit pair at a time.
+
+    Returns (vertices, edges, embedding) for comparison with
+    `graphs.rotation_symmetric_net`.
+    """
+    from barylab.graphs import ball_volume
+
+    rot = hyp.rotation(2 * math.pi / order, n, i=n - 1, j=n)
+    count = max(200, int(oversample * ball_volume(n, radius) / spacing**n / order))
+    samples = np.empty((count, n + 1))
+    o = hyp.basepoint(n)
+    grid = np.linspace(0, radius, 4096)
+    cdf = np.cumsum(np.sinh(grid) ** (n - 1))
+    cdf /= cdf[-1]
+    for i in range(count):
+        u = rng.normal(size=n)
+        u /= np.linalg.norm(u)
+        r = float(np.interp(rng.uniform(), cdf, grid))
+        v = np.zeros(n + 1)
+        v[1:] = r * u
+        samples[i] = hyp.exp(o, v)
+    orbits = []
+    buf = np.empty((count * order, n + 1))
+    filled = 0
+    for p in samples:
+        orbit = [p]
+        for _ in range(order - 1):
+            orbit.append(hyp.project_to_sheet(rot @ orbit[-1]))
+        orbit = np.array(orbit)
+        ok = True
+        if filled:
+            for q in orbit:
+                if np.min(hyp.dist_many(q, buf[:filled])) < spacing:
+                    ok = False
+                    break
+        if ok:
+            for a in range(order):
+                for b in range(a + 1, order):
+                    if hyp.dist(orbit[a], orbit[b]) < spacing:
+                        ok = False
+                        break
+                if not ok:
+                    break
+        if ok:
+            orbits.append(orbit)
+            buf[filled:filled + order] = orbit
+            filled += order
+    vertices = [(o, s) for o in range(len(orbits)) for s in range(order)]
+    embedding = {(o, s): orbits[o][s] for o, s in vertices}
+    edges = []
+    threshold = edge_factor * spacing
+    for o1 in range(len(orbits)):
+        p = orbits[o1][0]
+        for o2 in range(o1, len(orbits)):
+            d = hyp.dist_many(p, orbits[o2])
+            for s in range(order):
+                if d[s] > threshold:
+                    continue
+                if o1 == o2:
+                    if s == 0 or s > order - s:
+                        continue
+                    shifts = range(order // 2) if 2 * s == order else range(order)
+                else:
+                    shifts = range(order)
+                for shift in shifts:
+                    edges.append(((o1, shift), (o2, (s + shift) % order), float(d[s])))
+    return vertices, edges, embedding

@@ -9,7 +9,11 @@ import pytest
 from barylab import graphs
 from barylab.cli import main
 from barylab.measures import DiscreteMeasure
+from barylab.mmgraph import MMGraph
+from barylab.transport import brute_force_w1
 from barylab import hyperboloid as hyp
+
+from oracles import heap_dijkstra
 
 
 def run_cli(argv, tmp_path, name="out"):
@@ -90,6 +94,37 @@ def test_wasserstein_command(tmp_path):
     assert code == 0
     assert json.loads(out)["w1"] > 0
     assert "plan.csv" in files
+    rows = files["plan.csv"].decode().splitlines()[2:]
+    assert rows
+    for row in rows:
+        mass = row.split(",")[-1]
+        assert "np." not in row
+        assert float(mass) > 0
+
+
+def test_wasserstein_graph_metric_one_dijkstra_per_source(tmp_path, monkeypatch):
+    g = graphs.heawood_graph()
+    mu = DiscreteMeasure([0, 3, 9], [0.25, 0.5, 0.25])
+    nu = DiscreteMeasure([1, 6, 9, 12], [0.25, 0.25, 0.25, 0.25])
+    (tmp_path / "g.json").write_text(g.to_json())
+    for name, m in (("mu", mu), ("nu", nu)):
+        atoms = [{"site": site, "w": float(w)} for site, w in zip(m.sites, m.weights)]
+        (tmp_path / f"{name}.json").write_text(json.dumps({"atoms": atoms}))
+    sources = []
+    dijkstra = MMGraph.dijkstra
+
+    def counting(self, source, cutoff=None):
+        sources.append(source)
+        return dijkstra(self, source, cutoff=cutoff)
+
+    monkeypatch.setattr(MMGraph, "dijkstra", counting)
+    code, out, _ = run_cli(
+        ["wasserstein", str(tmp_path / "mu.json"), str(tmp_path / "nu.json"),
+         "--graph", str(tmp_path / "g.json")], tmp_path)
+    assert code == 0
+    assert sorted(sources) == [0, 3, 9]
+    cost = [[heap_dijkstra(g, a)[b] for b in nu.sites] for a in mu.sites]
+    assert abs(json.loads(out)["w1"] - brute_force_w1(mu, nu, cost)) < 1e-12
 
 
 def test_bcg_command_and_rejection(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from barylab import graphs, hyperboloid as hyp
 from barylab.errors import (
@@ -17,7 +18,7 @@ from barylab.mmgraph import (
     volume_entropy,
 )
 
-from oracles import regular_tree_ball_mass
+from oracles import heap_dijkstra, regular_tree_ball_mass, scalar_rotation_net
 
 RNG = np.random.default_rng(3)
 
@@ -59,7 +60,8 @@ def test_volume_entropy_path_is_flat():
 
 def test_volume_entropy_basepoint_independence():
     g = graphs.regular_tree(3, 14)
-    shallow = [v for v in g.vertices if g.dijkstra(0, cutoff=2).get(v) is not None]
+    near_root = g.dijkstra(0, cutoff=2)
+    shallow = [v for v in g.vertices if near_root.get(v) is not None]
     picks = RNG.choice(shallow, size=5, replace=False)
     ests = [volume_entropy(g, int(v), 4, 12) for v in picks]
     for e in ests[1:]:
@@ -206,3 +208,80 @@ def test_rotation_symmetric_net_deck_exactness():
     # embedding intertwines the deck map and the rotation isometry
     for w in g.vertices:
         assert hyp.dist(emb[deck[w]], hyp.project_to_sheet(rot @ emb[w])) < 1e-12
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Connected graphs with loops, parallel edges and tied lengths, vertex
+    ids shuffled against their indices, optionally replaced by a voltage
+    cover."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.permutations(range(n)))
+    length = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5]),
+                       st.floats(0.01, 3.0, allow_nan=False))
+    edges = [(ids[draw(st.integers(0, i - 1))], ids[i], draw(length)) for i in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), length),
+                          max_size=2 * n))
+    edges += [(ids[i], ids[j], w) for i, j, w in extra]
+    g = MMGraph([f"v{i}" for i in ids], [(f"v{u}", f"v{v}", w) for u, v, w in edges])
+    sheets = draw(st.integers(1, 3))
+    if sheets > 1 and edges:
+        voltage = {e: tuple(draw(st.permutations(range(sheets)))) for e in range(len(edges))}
+        try:
+            g = build_cover(g, voltage).total
+        except DisconnectedCoverError:
+            assume(False)
+    return g
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(weighted_graphs(), st.data())
+def test_dijkstra_matches_heap_oracle(g, data):
+    source = data.draw(st.sampled_from(g.vertices))
+    cutoff = data.draw(st.sampled_from([None, 0.0, 0.3, 1.0, 1.5, 2.75]))
+    got = g.dijkstra(source, cutoff=cutoff)
+    assert list(got.items()) == list(heap_dijkstra(g, source, cutoff=cutoff).items())
+
+
+def test_dijkstra_matches_heap_oracle_on_rotation_net():
+    g, _, _, _ = graphs.rotation_symmetric_net(
+        np.random.default_rng(6), order=4, n=3, radius=1.5, spacing=0.45)
+    for source in g.vertices[::7]:
+        for cutoff in (None, 0.9):
+            got = g.dijkstra(source, cutoff=cutoff)
+            assert list(got.items()) == list(heap_dijkstra(g, source, cutoff=cutoff).items())
+
+
+@pytest.mark.parametrize("seed, order, radius, spacing", [(7, 3, 1.3, 0.45), (6, 4, 1.5, 0.45)])
+def test_rotation_net_matches_scalar_builder(seed, order, radius, spacing):
+    g, emb, _, _ = graphs.rotation_symmetric_net(
+        np.random.default_rng(seed), order=order, n=3, radius=radius, spacing=spacing)
+    vertices, edges, embedding = scalar_rotation_net(
+        np.random.default_rng(seed), order=order, n=3, radius=radius, spacing=spacing)
+    assert g.vertices == vertices
+    assert g.edges == edges
+    assert all(np.array_equal(emb[v], embedding[v]) for v in vertices)
+
+
+def test_ball_net_edges_are_all_close_pairs():
+    g, emb = graphs.hyperbolic_ball_net(np.random.default_rng(5), n=3, radius=1.5,
+                                        spacing=0.45)
+    expected = []
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            d = float(hyp.dist(emb[i], emb[j]))
+            if d <= 2.0 * 0.45:
+                expected.append((i, j))
+    assert [(u, v) for u, v, _ in g.edges] == expected
+    assert all(length == float(hyp.dist_many(emb[u], emb[v][None])[0])
+               for u, v, length in g.edges)
+
+
+def test_component_labels_of_disconnected_cover():
+    base = graphs.heawood_graph()
+    with pytest.raises(DisconnectedCoverError) as exc:
+        build_cover(base, {0: (0, 1), 1: (0, 1)})
+    comps = exc.value.components
+    assert [len(c) for c in comps] == [14, 14]
+    assert {s for c in comps for _, s in c} == {0, 1}
+    assert all(len({s for _, s in c}) == 1 for c in comps)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -116,7 +117,7 @@ def test_natural_map_two_s_values_smoke():
     cfg1 = NaturalMapConfig(s=2.4, truncation_radius=3.0, h_estimate=1.8,
                             tail_tolerance=5.0)
     p1, _ = natural_map_point(g, emb, center, cfg1)
-    p2, _ = natural_map_point(g, emb, center, cfg1.with_s(3.0))
+    p2, _ = natural_map_point(g, emb, center, dataclasses.replace(cfg1, s=3.0))
     assert np.all(np.isfinite(p1.coords)) and np.all(np.isfinite(p2.coords))
     assert hyp.dist(p1.coords, p2.coords) < 0.5
 
