@@ -83,33 +83,34 @@ def heawood_graph(edge_length: float = 1.0) -> MMGraph:
 # hyperbolic ball nets
 # ---------------------------------------------------------------------------
 
-def _closer_than(points, others, spacing, top):
+def _closer_than(points, others, spacing):
     """Whether some row of `points` lies closer than `spacing` to some row of
     `others`, as `hyp.dist_many` measures it, row by row with early exit.
 
     dist_many runs only on the rows q of `others` with -<p, q>_M within
-    cosh(spacing) + 1e-9 * p0 * top, where `top` bounds every q0.  Any q
-    that dist_many puts closer than `spacing` passes: -<p, q>_M is cosh of
-    the distance, and both sides carry rounding of order 1e-15 * p0 * q0.
-    So the answer is the one dist_many gives on all of `others`.
+    cosh(spacing) + 1e-9 * p0 * q0.  Any q that dist_many puts closer than
+    `spacing` passes: -<p, q>_M is cosh of the distance, and both sides
+    carry rounding of order 1e-15 * p0 * q0.  So the answer is the one
+    dist_many gives on all of `others`.
     """
     flip = np.ones(points.shape[-1])
     flip[0] = -1.0
     for p in points:
         mink = others @ (p * flip)
-        near = others[mink >= -(math.cosh(spacing) + 1e-9 * p[0] * top)]
+        near = others[mink >= -(math.cosh(spacing) + 1e-9 * p[0] * others[:, 0])]
         if len(near) and np.min(hyp.dist_many(p, near)) < spacing:
             return True
     return False
 
 
 def _greedy_net(points, spacing):
-    top = float(np.max(points[:, 0]))
     kept = []
     buf = np.empty_like(points)
     for idx, p in enumerate(points):
-        if kept and _closer_than(p[None], buf[: len(kept)], spacing, top):
-            continue
+        if kept:
+            d = hyp.dist_many(p, buf[: len(kept)])
+            if np.min(d) < spacing:
+                continue
         buf[len(kept)] = p
         kept.append(idx)
     return kept
@@ -205,7 +206,6 @@ def rotation_symmetric_net(rng, order=4, n=3, radius=2.0, spacing=0.35,
     samples = _sample_ball(rng, n, radius, target)
     # orbit representatives kept, in sample order, when the whole orbit is
     # spacing-separated from itself and from every orbit kept before it
-    top = float(np.max(samples[:, 0]))  # rotations keep x0, up to rounding
     kept = np.empty((64, order, n + 1))
     filled = 0
     upper = np.triu(np.ones((order, order), dtype=bool), 1)
@@ -217,7 +217,7 @@ def rotation_symmetric_net(rng, order=4, n=3, radius=2.0, spacing=0.35,
         internal = hyp.dist_many(batch[:, :, None, :], batch[:, None, :, :])
         separated = np.all(internal[:, upper] >= spacing, axis=1)
         for orbit in batch[separated]:
-            if filled and _closer_than(orbit, kept[:filled].reshape(-1, n + 1), spacing, top):
+            if filled and _closer_than(orbit, kept[:filled].reshape(-1, n + 1), spacing):
                 continue
             if filled == len(kept):
                 kept = np.concatenate([kept, np.empty_like(kept)])

@@ -23,15 +23,13 @@ from .errors import (
 )
 
 
-def _csr(n, tails, heads, lengths):
-    """CSR arrays (indptr, target, length) of half-edges, each vertex's
-    half-edges kept in input order."""
+def _csr(n, tails):
+    """CSR row pointers of half-edges with the given tails, and the order
+    that sorts half-edge arrays into rows, keeping input order per row."""
     tails = np.asarray(tails, dtype=np.int64)
-    order = np.argsort(tails, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
-    return (indptr, np.asarray(heads, dtype=np.int64)[order],
-            np.asarray(lengths, dtype=float)[order])
+    return indptr, np.argsort(tails, kind="stable")
 
 
 def _out_edges(indptr, rows):
@@ -90,7 +88,9 @@ class MMGraph:
                 tails.append(iv)
                 heads.append(iu)
                 lengths.append(length)
-        self._indptr, self._target, self._length = _csr(self.n, tails, heads, lengths)
+        self._indptr, order = _csr(self.n, tails)
+        self._target = np.asarray(heads, dtype=np.int64)[order]
+        self._length = np.asarray(lengths, dtype=float)[order]
         if measure is None:
             measure = {v: 1.0 for v in self.vertices}
         self.measure = {v: float(measure.get(v, 0.0)) for v in self.vertices}
@@ -137,7 +137,6 @@ class MMGraph:
             raise GraphLookupError(f"unknown vertex {source!r}")
         limit = np.inf if cutoff is None else cutoff
         dist = np.full(self.n, np.inf)
-        improved = np.zeros(self.n, dtype=bool)
         dist[self.index[source]] = 0.0
         frontier = np.array([self.index[source]])
         while frontier.size:
@@ -147,9 +146,7 @@ class MMGraph:
             better = (cand < dist[heads]) & (cand <= limit)
             cand, heads = cand[better], heads[better]
             np.minimum.at(dist, heads, cand)
-            improved[frontier] = False
-            improved[heads] = True
-            frontier = np.flatnonzero(improved)
+            frontier = np.unique(heads)
         reached = np.flatnonzero(dist <= limit)
         order = reached[np.argsort(dist[reached], kind="stable")]
         return dict(zip([self.vertices[i] for i in order.tolist()], dist[order].tolist()))
@@ -377,9 +374,8 @@ def build_cover(base: MMGraph, voltage: dict) -> CoverMap:
     index = {w: i for i, w in enumerate(vertices)}
     tails = [index[a] for a, _, _ in edges]
     heads = [index[b] for _, b, _ in edges]
-    indptr, target, _ = _csr(len(vertices), tails + heads, heads + tails,
-                             np.zeros(2 * len(edges)))
-    labels = _component_labels(indptr, target)
+    indptr, order = _csr(len(vertices), tails + heads)
+    labels = _component_labels(indptr, np.asarray(heads + tails, dtype=np.int64)[order])
     if labels.max() > 0:
         comp = [[vertices[i] for i in np.flatnonzero(labels == c)]
                 for c in range(labels.max() + 1)]
