@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -31,7 +32,7 @@ from .io import (
     load_measure,
     load_simplicial_map,
 )
-from .mmgraph import volume_entropy
+from .mmgraph import ball_measure, volume_entropy
 from .naturalmap import NaturalMapConfig, entropy_volume_report, natural_map_point, run_natural_map
 from .transport import wasserstein1
 
@@ -50,10 +51,16 @@ def _write(path, text):
         fh.write(text)
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
 def _fmt(x):
     if isinstance(x, float):
         return repr(float(x))
-    return str(x)
+    text = str(x)
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'  # RFC 4180
+    return text
 
 
 def _csv(rows, header):
@@ -79,14 +86,12 @@ def cmd_entropy(args):
     est = volume_entropy(g, x, args.rmin, args.rmax, step=args.step)
     config = {"command": "entropy", "graph": args.graph, "basepoint": str(x),
               "rmin": args.rmin, "rmax": args.rmax, "step": args.step}
-    dist = g.dijkstra(x)
-    rows = []
+    radii = []
     r = args.rmin
-    items = sorted(dist.items(), key=lambda kv: kv[1])
     while r <= args.rmax + 1e-12:
-        mass = sum(g.measure[v] for v, d in items if d <= r)
-        rows.append((r, math.log(mass)))
+        radii.append(r)
         r += args.step
+    rows = [(r, math.log(mass)) for r, mass in zip(radii, ball_measure(g, x, radii))]
     out = os.path.join(args.out_dir, "entropy.csv")
     _write(out, f"# barylab {__version__} config {_digest(config)}\n"
            + _csv(rows, ["R", "log_mass"]))

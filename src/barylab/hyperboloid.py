@@ -128,11 +128,9 @@ def log(p, q):
     q = np.asarray(q, dtype=float)
     mu = -minkowski_dot(p, q)
     d = dist(p, q)
-    if np.ndim(d) == 0:
-        if d < 1e-300:
-            return np.zeros_like(p)
-        factor = d / math.sqrt(max(mu * mu - 1.0, 1e-300))
-        return tangent_project(p, factor * (q - mu * p))
+    if np.ndim(d) == 0 and d < 1e-300:
+        return np.zeros_like(p)
+    # factor 1 where mu^2 - 1 rounds to 0: there d / sinh(d) is 1 to double precision
     sinh_d = np.sqrt(np.maximum(mu * mu - 1.0, 0.0))
     factor = np.where(sinh_d < 1e-300, 1.0, d / np.where(sinh_d < 1e-300, 1.0, sinh_d))
     return tangent_project(p, factor[..., None] * (q - mu[..., None] * p))

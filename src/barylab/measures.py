@@ -35,17 +35,11 @@ class DiscreteMeasure:
         if np.any(weights < 0):
             raise ValueError("negative weight in measure")
         merged: dict = {}
-        for site, w in zip(sites, weights):
-            key = _freeze(site)
-            merged[key] = merged.get(key, 0.0) + float(w)
+        for key, w in zip(map(_freeze, sites), weights.tolist()):
+            merged[key] = merged.get(key, 0.0) + w
         items = [(s, w) for s, w in merged.items() if w != 0.0]
         self.sites = [s for s, _ in items]
         self.weights = np.array([w for _, w in items], dtype=float)
-
-    @classmethod
-    def from_pairs(cls, pairs):
-        sites, weights = zip(*pairs) if pairs else ((), ())
-        return cls(list(sites), np.array(weights, dtype=float))
 
     @classmethod
     def dirac(cls, site, mass=1.0):
@@ -57,7 +51,7 @@ class DiscreteMeasure:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if weights is None:
             weights = np.ones(points.shape[0])
-        return cls([tuple(map(float, p)) for p in points], weights)
+        return cls(list(map(tuple, points.tolist())), weights)
 
     @property
     def total_mass(self):
@@ -70,7 +64,7 @@ class DiscreteMeasure:
     @property
     def points(self):
         """Site coordinates as an array; only valid for coordinate-tuple sites."""
-        return np.array([list(s) for s in self.sites], dtype=float)
+        return np.array(self.sites, dtype=float)
 
     def __len__(self):
         return len(self.sites)
@@ -111,13 +105,3 @@ class DiscreteMeasure:
         sites = [_freeze(a["site"]) for a in data["atoms"]]
         weights = np.array([a["w"] for a in data["atoms"]], dtype=float)
         return cls(sites, weights)
-
-
-def pushforward(f, mu: DiscreteMeasure) -> DiscreteMeasure:
-    """Functional form of `DiscreteMeasure.pushforward`."""
-    return mu.pushforward(f)
-
-
-def normalize(mu: DiscreteMeasure) -> DiscreteMeasure:
-    """Functional form of `DiscreteMeasure.normalize`."""
-    return mu.normalize()

@@ -123,10 +123,10 @@ class MMGraph:
         heads = self._target[self._indptr[i]:self._indptr[i + 1]]
         return len(heads) + int(np.sum(heads == i))
 
-    def dijkstra(self, source, cutoff=None):
-        """Distances from `source`; vertices beyond `cutoff` are omitted.
+    def distances(self, source, cutoff=None):
+        """Shortest-path distances from `source` as one float array indexed
+        like `vertices`; vertices beyond `cutoff` read inf.
 
-        Keys come in settle order, i.e. sorted by (distance, vertex index).
         Computed by label-correcting relaxation (Bellman, 1958): each round
         relaxes the out-edges of the vertices whose label just improved.
         With positive lengths this reaches the float fixed point
@@ -147,12 +147,19 @@ class MMGraph:
             cand, heads = cand[better], heads[better]
             np.minimum.at(dist, heads, cand)
             frontier = np.unique(heads)
-        reached = np.flatnonzero(dist <= limit)
+        return dist
+
+    def dijkstra(self, source, cutoff=None):
+        """`distances` as a dict keyed by vertex id, omitting vertices beyond
+        `cutoff`; keys come in settle order, i.e. sorted by (distance,
+        vertex index)."""
+        dist = self.distances(source, cutoff)
+        reached = np.flatnonzero(dist <= (np.inf if cutoff is None else cutoff))
         order = reached[np.argsort(dist[reached], kind="stable")]
         return dict(zip([self.vertices[i] for i in order.tolist()], dist[order].tolist()))
 
     def distance(self, u, v):
-        return self.dijkstra(u)[v]
+        return float(self.distances(u)[self.index[v]])
 
     # -- serialization ------------------------------------------------------
 
@@ -196,12 +203,21 @@ class EntropyEstimate:
     residual: float
 
 
-def ball_measure(g: MMGraph, x, R: float) -> float:
-    """Total vertex measure within shortest-path distance R of x."""
-    if R < 0:
+def ball_measure(g: MMGraph, x, R):
+    """Total vertex measure within shortest-path distance R of x.
+
+    `R` may also be a sequence of radii, giving an array of masses.  Every
+    mass is a prefix sum of the vertex measures in (distance, vertex index)
+    order, so nested balls add the same floats in the same order.
+    """
+    radii = np.asarray(R, dtype=float)
+    if np.any(radii < 0):
         raise ValueError("radius must be nonnegative")
-    dist = g.dijkstra(x, cutoff=R)
-    return float(sum(g.measure[v] for v, d in dist.items() if d <= R))
+    dist = g.distances(x, cutoff=float(np.max(radii)))
+    order = np.argsort(dist, kind="stable")
+    prefix = np.concatenate(([0.0], np.cumsum(g._measure_arr[order])))
+    masses = prefix[np.searchsorted(dist[order], radii, side="right")]
+    return float(masses) if masses.ndim == 0 else masses
 
 
 def volume_entropy(g: MMGraph, x, r_min: float, r_max: float, step: float = 1.0) -> EntropyEstimate:
@@ -213,29 +229,19 @@ def volume_entropy(g: MMGraph, x, r_min: float, r_max: float, step: float = 1.0)
     """
     if not (r_max > r_min >= 0):
         raise ValueError("window must satisfy r_max > r_min >= 0")
-    dist = g.dijkstra(x)
     radii = []
     r = r_min
     while r <= r_max + 1e-12:
         radii.append(r)
         r += step
-    masses = []
-    dist_items = sorted(dist.items(), key=lambda kv: kv[1])
-    total = g.total_measure
-    k = 0
-    acc = 0.0
-    for r in radii:
-        while k < len(dist_items) and dist_items[k][1] <= r:
-            acc += g.measure[dist_items[k][0]]
-            k += 1
-        masses.append(acc)
-    if masses[-1] >= total:
+    masses = ball_measure(g, x, radii)
+    if masses[-1] >= g.total_measure:
         raise WindowSaturationError(
             f"ball of radius {radii[-1]} contains the whole graph; shrink the window"
         )
-    if min(masses) <= 0:
+    if masses.min() <= 0:
         raise ValueError("empty ball in window; increase r_min")
-    ys = np.log(np.array(masses))
+    ys = np.log(masses)
     xs = np.array(radii)
     slope, intercept = np.polyfit(xs, ys, 1)
     fit = slope * xs + intercept

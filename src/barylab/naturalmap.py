@@ -53,6 +53,11 @@ from .measures import DiscreteMeasure
 from .mmgraph import MMGraph
 
 
+SOLVER_TOL = 1e-9           # barycenter gradient-norm tolerance
+EXCLUSION_THRESHOLD = 1e-9  # sigma sites closer than this to y leave eta
+CHART_RANK_TOL = 1e-8       # relative eigenvalue floor of the one-ring chart
+
+
 @dataclass
 class NaturalMapConfig:
     """Parameters of one natural-map evaluation.
@@ -68,9 +73,6 @@ class NaturalMapConfig:
     h_estimate: float
     h_residual: float = 0.0
     tail_tolerance: float = 1e-3
-    solver_tol: float = 1e-9
-    exclusion_threshold: float = 1e-9
-    chart_rank_tol: float = 1e-8
 
     def __post_init__(self):
         floor = self.h_estimate + 3.0 * self.h_residual
@@ -119,20 +121,21 @@ def exponential_tail_bound(dists, masses, s, h, eps, radius):
 def mu_x_s(cover: MMGraph, x, cfg: NaturalMapConfig, dists=None):
     """Exponentially weighted measure on the truncated ball about x.
 
-    Returns (measure, tail_bound).  The tail bound is an absolute mass; it
-    is accepted when below tail_tolerance times the retained mass (a
-    relative criterion, so one tolerance works across fixture scales).
-    Raises TruncationError with a suggested radius otherwise.
+    `dists` is x's row of `cover.distances`, computed when omitted; atoms
+    come in (distance, vertex index) order.  Returns (measure, tail_bound).
+    The tail bound is an absolute mass; it is accepted when below
+    tail_tolerance times the retained mass (a relative criterion, so one
+    tolerance works across fixture scales).  Raises TruncationError with a
+    suggested radius otherwise.
     """
     if dists is None:
-        dists = cover.dijkstra(x)
-    verts = list(dists.keys())
-    d = np.array([dists[v] for v in verts])
-    m = np.array([cover.measure[v] for v in verts])
+        dists = cover.distances(x)
+    order = np.argsort(dists, kind="stable")
+    d = dists[order]
+    m = cover._measure_arr[order]
     eps = min(3.0 * cfg.h_residual + 1e-6, 0.5 * (cfg.s - cfg.h_estimate))
     tail, C = exponential_tail_bound(d, m, cfg.s, cfg.h_estimate, eps, cfg.truncation_radius)
     inside = d <= cfg.truncation_radius
-    atoms = [verts[i] for i in np.nonzero(inside)[0]]
     weights = m[inside] * np.exp(-cfg.s * d[inside])
     retained = float(np.sum(weights))
     if tail > cfg.tail_tolerance * retained:
@@ -146,109 +149,115 @@ def mu_x_s(cover: MMGraph, x, cfg: NaturalMapConfig, dists=None):
             tail_bound=tail,
             suggested_radius=float(suggested),
         )
-    return DiscreteMeasure(atoms, weights), tail
+    return DiscreteMeasure([cover.vertices[i] for i in order[inside].tolist()], weights), tail
 
 
 # ---------------------------------------------------------------------------
 # F_s and the tensors
 # ---------------------------------------------------------------------------
 
-def _embedding_fn(f_tilde):
-    if callable(f_tilde):
+def _images(cover: MMGraph, f_tilde):
+    """The vertex images as one (n, N+1) array in vertex index order.
+
+    `f_tilde` maps vertex ids to points of H^N (a dict or a callable), or
+    is that array already.
+    """
+    if isinstance(f_tilde, np.ndarray):
         return f_tilde
-    return lambda v: f_tilde[v]
+    image = f_tilde if callable(f_tilde) else f_tilde.__getitem__
+    return np.array([image(v) for v in cover.vertices], dtype=float)
 
 
-def pushforward_with_fibers(mu: DiscreteMeasure, f_tilde):
-    """Group mu atoms by image point; returns (sites, weights, fiber lists)."""
-    emb = _embedding_fn(f_tilde)
-    groups = {}
-    for idx, (v, w) in enumerate(zip(mu.sites, mu.weights)):
-        key = tuple(float(c) for c in emb(v))
-        if key not in groups:
-            groups[key] = [0.0, []]
-        groups[key][0] += float(w)
-        groups[key][1].append(idx)
-    sites = list(groups.keys())
-    weights = np.array([groups[s][0] for s in sites])
-    fibers = [groups[s][1] for s in sites]
-    return sites, weights, fibers
+def pushforward_with_fibers(weights, images):
+    """Group atoms by image row.
+
+    Returns the distinct rows in order of first appearance (the sites), their
+    summed weights, and each atom's site label (its fiber).
+    """
+    _, first, inverse = np.unique(images, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    labels = np.argsort(order)[inverse]
+    return images[first[order]], np.bincount(labels, weights), labels
+
+
+def _pushforward_barycenter(cover: MMGraph, images, x, cfg: NaturalMapConfig, dists):
+    """mu_x_s, its pushforward sigma along `images` and the barycenter of
+    sigma, as natural_map_point's info dict; "atoms" holds the vertex
+    indices of the mu atoms and "labels" their sigma sites."""
+    mu, tail = mu_x_s(cover, x, cfg, dists=dists)
+    atoms = np.array([cover.index[v] for v in mu.sites], dtype=np.int64)
+    sites, weights, labels = pushforward_with_fibers(mu.weights, images[atoms])
+    sigma = DiscreteMeasure.from_points(sites, weights)
+    res = barycenter(sigma.normalize(), tol=SOLVER_TOL)
+    return {"mu": mu, "sigma": sigma, "tail_bound": tail, "solver": res,
+            "atoms": atoms, "labels": labels}
 
 
 def natural_map_point(cover: MMGraph, f_tilde, x, cfg: NaturalMapConfig, dists=None):
     """F_s(x): the barycenter of the normalized pushforward measure.
 
-    Returns (HPoint, info) with the measure, tail bound and solver record
-    in `info`.
+    Returns (HPoint, info) with the measure, its pushforward, the tail
+    bound and the solver record in `info`.
     """
-    mu, tail = mu_x_s(cover, x, cfg, dists=dists)
-    sites, weights, _ = pushforward_with_fibers(mu, f_tilde)
-    sigma = DiscreteMeasure(sites, weights)
-    res = barycenter(sigma.normalize(), tol=cfg.solver_tol)
-    info = {"mu": mu, "sigma": sigma, "tail_bound": tail, "solver": res}
-    return res.point, info
+    info = _pushforward_barycenter(cover, _images(cover, f_tilde), x, cfg, dists)
+    return info["solver"].point, info
 
 
-def local_chart(cover: MMGraph, x, neighbor_dists, dim, rank_tol=1e-8):
-    """Chart coordinates of the one-ring of x by classical MDS.
+def local_chart(gram, dim, rank_tol, what):
+    """Classical MDS: the top `dim` eigen-coordinates of a Gram matrix.
 
-    `neighbor_dists` maps each neighbor u to its full distance dict (used
-    for the pairwise one-ring distances).  Returns (neighbors, M) with M
-    the (k, dim) matrix of chart positions; raises RankDeficiencyError when
-    the one-ring does not span `dim` directions.
+    Returns the (k, dim) chart positions; raises RankDeficiencyError when
+    the dim-th eigenvalue is at most rank_tol times the largest (`what`
+    names the points in the message).
     """
-    neighbors = sorted(neighbor_dists.keys(), key=lambda u: str(u))
-    k = len(neighbors)
-    if k < dim:
-        raise RankDeficiencyError(
-            f"vertex {x!r} has {k} neighbors; chart needs at least {dim}"
-        )
-    d_x = np.array([neighbor_dists[u][x] for u in neighbors])
-    gram = np.empty((k, k))
-    for a, u in enumerate(neighbors):
-        du = neighbor_dists[u]
-        for b, v in enumerate(neighbors):
-            d_uv = du[v]
-            gram[a, b] = 0.5 * (d_x[a] ** 2 + d_x[b] ** 2 - d_uv**2)
     vals, vecs = np.linalg.eigh(gram)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     if vals[dim - 1] <= rank_tol * max(vals[0], 1e-300):
         raise RankDeficiencyError(
-            f"one-ring of {x!r} spans fewer than {dim} directions "
-            f"(eigenvalues {vals[:dim]})"
+            f"{what} spans fewer than {dim} directions (eigenvalues {vals[:dim]})"
         )
-    M = vecs[:, :dim] * np.sqrt(np.maximum(vals[:dim], 0.0))
-    return neighbors, M
+    return vecs[:, :dim] * np.sqrt(np.maximum(vals[:dim], 0.0))
 
 
-def source_gradients(cover: MMGraph, x, mu: DiscreteMeasure, fibers, dim,
-                     dists_x, neighbor_dists, rank_tol=1e-8):
-    """Per-image-atom discrete gradients G of z -> d(x, .), clipped to unit norm.
+def _one_ring(cover: MMGraph, x):
+    """The neighbors of x other than x, once each, ordered by str(id)."""
+    return sorted(dict.fromkeys(u for u, _ in cover.neighbors(x) if u != x), key=str)
 
-    Each cover atom x' contributes the least-squares fit of the directional
-    differences d(u, x') - d(x, x') over the chart positions of the
-    neighbors u; fibers are then averaged with the mu weights.
+
+def _ring_rows(cover: MMGraph, x):
+    """The (k, n) distance rows of the one-ring of x, in `_one_ring` order."""
+    return np.array([cover.distances(u) for u in _one_ring(cover, x)])
+
+
+def source_gradients(cover: MMGraph, x, dists, ring, atoms, weights, labels, dim):
+    """Per-site discrete gradients G of z -> d(x, .), clipped to unit norm.
+
+    `dists` is x's distance row and `ring` the rows of its one-ring.  Each
+    mu atom (vertex index in `atoms`, mu weight in `weights`) contributes
+    the least-squares fit of its directional differences d(u, .) - d(x, .)
+    over the chart positions of the neighbors u, a chart found by classical
+    MDS on the one-ring distances; the atoms sharing a site label are then
+    averaged with their mu weights.
     """
-    neighbors, M = local_chart(cover, x, neighbor_dists, dim, rank_tol)
-    pinv = np.linalg.pinv(M)
-    atoms = mu.sites
-    base = np.array([dists_x[v] for v in atoms])
-    diffs = np.empty((len(neighbors), len(atoms)))
-    for a, u in enumerate(neighbors):
-        du = neighbor_dists[u]
-        diffs[a] = np.array([du[v] for v in atoms]) - base
-    G = (pinv @ diffs).T  # (num mu atoms, dim)
+    neighbors = [cover.index[u] for u in _one_ring(cover, x)]
+    if len(neighbors) < dim:
+        raise RankDeficiencyError(
+            f"vertex {x!r} has {len(neighbors)} neighbors; chart needs at least {dim}"
+        )
+    d_x = ring[:, cover.index[x]]
+    gram = 0.5 * (d_x[:, None] ** 2 + d_x[None, :] ** 2 - ring[:, neighbors] ** 2)
+    M = local_chart(gram, dim, CHART_RANK_TOL, f"one-ring of {x!r}")
+    diffs = np.take(ring, atoms, axis=1) - dists[atoms]
+    G = (np.linalg.pinv(M) @ diffs).T  # (num mu atoms, dim)
     norms = np.linalg.norm(G, axis=1)
     G /= np.maximum(norms, 1.0)[:, None]
-    mu_w = mu.weights
-    G_fiber = np.empty((len(fibers), dim))
-    for j, members in enumerate(fibers):
-        w = mu_w[members]
-        G_fiber[j] = (w @ G[members]) / np.sum(w)
-    norms = np.linalg.norm(G_fiber, axis=1)
-    G_fiber /= np.maximum(norms, 1.0)[:, None]
-    return G_fiber
+    G_site = np.zeros((labels.max() + 1, dim))
+    np.add.at(G_site, labels, weights[:, None] * G)
+    G_site /= np.bincount(labels, weights)[:, None]
+    norms = np.linalg.norm(G_site, axis=1)
+    G_site /= np.maximum(norms, 1.0)[:, None]
+    return G_site
 
 
 @dataclass
@@ -272,24 +281,26 @@ class TensorSet:
 
 
 def assemble_tensors(cover: MMGraph, f_tilde, x, cfg: NaturalMapConfig,
-                     dists=None, neighbor_dists=None) -> TensorSet:
-    """Build the full tensor set at the natural-map image of x."""
-    emb = _embedding_fn(f_tilde)
-    dim = len(np.asarray(emb(x))) - 1
-    if dists is None:
-        dists = cover.dijkstra(x)
-    mu, tail = mu_x_s(cover, x, cfg, dists=dists)
-    sites, weights, fibers = pushforward_with_fibers(mu, f_tilde)
-    sigma = DiscreteMeasure(sites, weights)
-    res = barycenter(sigma.normalize(), tol=cfg.solver_tol)
-    y = res.coords
+                     dists=None, ring=None) -> TensorSet:
+    """Build the full tensor set at the natural-map image of x.
 
-    Z = np.array([list(site) for site in sites])
+    `dists` (x's distance row) and `ring` (the distance rows of its
+    one-ring) are computed when omitted.
+    """
+    images = _images(cover, f_tilde)
+    dim = images.shape[1] - 1
+    if dists is None:
+        dists = cover.distances(x)
+    if ring is None:
+        ring = _ring_rows(cover, x)
+    info = _pushforward_barycenter(cover, images, x, cfg, dists)
+    y = info["solver"].coords
+
+    Z, weights = info["sigma"].points, info["sigma"].weights
     rho = hyp.dist_many(y, Z)
-    keep = rho >= cfg.exclusion_threshold
+    keep = rho >= EXCLUSION_THRESHOLD
     excluded = float(np.sum(weights[~keep]))
     Zk, rhok, wk = Z[keep], rho[keep], weights[keep]
-    fibers_kept = [f for f, k in zip(fibers, keep) if k]
 
     eta_hat = rhok * wk
     eta_mass = float(np.sum(eta_hat))
@@ -305,17 +316,13 @@ def assemble_tensors(cover: MMGraph, f_tilde, x, cfg: NaturalMapConfig,
     K = float(np.sum(eta * coth)) * np.eye(dim) - (g_hat * (eta * coth)[:, None]).T @ g_hat
     L = (g_hat * (eta / rhok)[:, None]).T @ g_hat
 
-    if neighbor_dists is None:
-        neighbor_dists = {
-            u: cover.dijkstra(u) for u, _ in cover.neighbors(x) if u != x
-        }
-    G = source_gradients(cover, x, mu, fibers_kept, dim, dists, neighbor_dists,
-                         rank_tol=cfg.chart_rank_tol)
+    G = source_gradients(cover, x, dists, ring, info["atoms"], info["mu"].weights,
+                         info["labels"], dim)[keep]
     A = (g_hat * eta[:, None]).T @ G
     B = (G * eta[:, None]).T @ G
     return TensorSet(
         y=y, frame=frame, H=H, K=K, L=L, A=A, B=B,
-        eta_mass=eta_mass, excluded_mass=excluded, tail_bound=tail,
+        eta_mass=eta_mass, excluded_mass=excluded, tail_bound=info["tail_bound"],
     )
 
 
@@ -350,32 +357,28 @@ def jacobian_mesh(cover: MMGraph, point_map, x, r, dim=None):
     """
     from scipy.spatial import ConvexHull, QhullError
 
-    emb = _embedding_fn(point_map)
-    center_img = np.asarray(emb(x), dtype=float)
+    images = _images(cover, point_map)
+    center_img = images[cover.index[x]]
     if dim is None:
         dim = len(center_img) - 1
-    ball = cover.dijkstra(x, cutoff=r)
-    verts = sorted(ball.keys(), key=lambda v: (ball[v], str(v)))
+    ball = cover.distances(x, cutoff=r)
+    verts = sorted(np.flatnonzero(ball <= r).tolist(),
+                   key=lambda i: (ball[i], str(cover.vertices[i])))
     if len(verts) < dim + 1:
         return 0.0, False
-    imgs = np.array([emb(v) for v in verts])
     tangent = hyp.frame_coords(hyp.tangent_frame(center_img),
-                               hyp.log_many(center_img, imgs))
+                               hyp.log_many(center_img, images[verts]))
     # source chart: MDS on pairwise distances within the ball
-    pair = np.empty((len(verts), len(verts)))
-    for a, u in enumerate(verts):
-        du = cover.dijkstra(u, cutoff=2.0 * r + 1e-9)
-        for b, v in enumerate(verts):
-            pair[a, b] = du.get(v, 2.0 * r)
+    rows = [cover.distances(cover.vertices[i], cutoff=2.0 * r + 1e-9) for i in verts]
+    pair = np.take(np.array(rows), verts, axis=1)
+    pair[pair == np.inf] = 2.0 * r
     sq = pair**2
     row = sq.mean(axis=1)
     gram = -0.5 * (sq - row[:, None] - row[None, :] + sq.mean())
-    vals, vecs = np.linalg.eigh(gram)
-    order = np.argsort(vals)[::-1]
-    vals, vecs = vals[order], vecs[:, order]
-    if vals[dim - 1] <= 1e-9 * max(vals[0], 1e-300):
+    try:
+        source = local_chart(gram, dim, 1e-9, "mesh ball")
+    except RankDeficiencyError:
         return 0.0, False
-    source = vecs[:, :dim] * np.sqrt(np.maximum(vals[:dim], 0.0))
     sing = np.linalg.svd(tangent - tangent.mean(axis=0), compute_uv=False)
     if len(sing) < dim or sing[dim - 1] <= 1e-9 * max(sing[0], 1e-300):
         return 0.0, False
@@ -464,21 +467,20 @@ def run_natural_map(cover: MMGraph, f_tilde, base_cfg: NaturalMapConfig,
     Graph distances from each sample point and its one-ring are computed
     once and shared across the s grid.
     """
-    emb = _embedding_fn(f_tilde)
+    images = _images(cover, f_tilde)
     s_values = list(s_values) if s_values is not None else [base_cfg.s]
     records = []
     sample_measure = 0.0
     for x in sample_points:
         sample_measure += cover.measure[x]
-        dists = cover.dijkstra(x)
-        neighbor_dists = {u: cover.dijkstra(u) for u, _ in cover.neighbors(x) if u != x}
+        dists = cover.distances(x)
+        ring = _ring_rows(cover, x)
         for s in s_values:
             cfg = replace(base_cfg, s=s)
-            tensors = assemble_tensors(cover, f_tilde, x, cfg,
-                                       dists=dists, neighbor_dists=neighbor_dists)
+            tensors = assemble_tensors(cover, images, x, cfg, dists=dists, ring=ring)
             jac, cond = jacobian_formula(tensors.H, tensors.K, tensors.L, tensors.A, s)
             if mesh_radius is not None:
-                jm, rank_ok = jacobian_mesh(cover, emb, x, mesh_radius,
+                jm, rank_ok = jacobian_mesh(cover, images, x, mesh_radius,
                                             dim=tensors.dim)
             else:
                 jm, rank_ok = float("nan"), True

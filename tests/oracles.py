@@ -4,7 +4,8 @@ Each oracle avoids the code path it checks: the barycenter oracle does grid
 search over a tangent chart (no gradient descent), the Wasserstein oracle
 enumerates unit assignments, the entropy oracle uses closed-form sphere
 counts on regular trees, the shortest-path oracle is a binary-heap Dijkstra
-over the edge list, and the rotation-net oracle builds the fixture one
+over the edge list, the source-gradient oracle loops over atoms and fibers
+with distance dicts, and the rotation-net oracle builds the fixture one
 sample and one orbit pair at a time.
 """
 
@@ -145,6 +146,40 @@ def heap_dijkstra(g, source, cutoff=None):
                 if cutoff is None or nd <= cutoff:
                     heapq.heappush(heap, (nd, j))
     return {g.vertices[i]: d for i, d in dist.items()}
+
+
+def loop_source_gradients(g, x, mu, emb, dim):
+    """Fiber-averaged source gradients one atom and one fiber at a time.
+
+    Distances are heap-Dijkstra dicts; the one-ring chart Gram matrix is
+    filled pair by pair; the mu atoms are grouped into fibers by image
+    tuple in order of first appearance.  Returns (site tuples, G).
+    """
+    d_x = heap_dijkstra(g, x)
+    ring = {u: heap_dijkstra(g, u) for u, _ in g.neighbors(x) if u != x}
+    neighbors = sorted(ring, key=str)
+    k = len(neighbors)
+    gram = np.empty((k, k))
+    for a, u in enumerate(neighbors):
+        for b, v in enumerate(neighbors):
+            gram[a, b] = 0.5 * (ring[u][x] ** 2 + ring[v][x] ** 2 - ring[u][v] ** 2)
+    vals, vecs = np.linalg.eigh(gram)
+    top = np.argsort(vals)[::-1][:dim]
+    pinv = np.linalg.pinv(vecs[:, top] * np.sqrt(vals[top]))
+    fibers = {}
+    for i, v in enumerate(mu.sites):
+        fibers.setdefault(tuple(float(c) for c in emb[v]), []).append(i)
+    G = []
+    for v in mu.sites:
+        grad = pinv @ np.array([ring[u][v] - d_x[v] for u in neighbors])
+        G.append(grad / max(np.linalg.norm(grad), 1.0))
+    G = np.array(G)
+    out = []
+    for members in fibers.values():
+        w = mu.weights[members]
+        grad = w @ G[members] / np.sum(w)
+        out.append(grad / max(np.linalg.norm(grad), 1.0))
+    return list(fibers), np.array(out)
 
 
 def scalar_rotation_net(rng, order=4, n=3, radius=2.0, spacing=0.35,

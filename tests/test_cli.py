@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -194,6 +195,22 @@ def test_naturalmap_command_small(tmp_path):
     for row in payload["per_s"]:
         assert row["max_pointwise_violation"] <= 1e-6
     assert "naturalmap_run.csv" in files and "naturalmap_summary.json" in files
+    # the x column holds tuple vertex ids such as "(425, 2)": quoted, so every
+    # row parses to one field per header column
+    lines = files["naturalmap_run.csv"].decode().splitlines()
+    header, *rows = csv.reader(lines[1:])
+    assert len(rows) == 8
+    assert all(len(row) == len(header) for row in rows)
+    assert all(row[0].startswith("(") for row in rows)
+
+
+def test_csv_fields_round_trip():
+    from barylab.cli import _csv
+
+    rows = [((425, 2), 0.1, 3), ('say "hi"\nthere', -2.5e-300, "plain")]
+    parsed = list(csv.reader(io.StringIO(_csv(rows, ["x", "v", "k"]), newline="")))
+    assert parsed == [["x", "v", "k"], ["(425, 2)", "0.1", "3"],
+                      ['say "hi"\nthere', "-2.5e-300", "plain"]]
 
 
 def test_naturalmap_s_below_entropy_rejected(tmp_path):

@@ -121,6 +121,22 @@ def test_grad_distance_unit_norm_and_antisymmetry():
         assert hyp.dist(hyp.exp(y, -eps * g), z) < d0
 
 
+def test_log_and_grad_at_tiny_separation():
+    # from the basepoint, -<p,q>_M rounds to exactly 1 once d < ~1e-8; the
+    # scalar log then divided by sqrt(1e-300) (|log| ~ 1e132 at d = 1e-9)
+    p = hyp.basepoint(3)
+    for d in (1e-9, 1e-10, 1e-11):
+        for _ in range(5):
+            v = hyp.tangent_project(p, RNG.normal(size=4))
+            q = hyp.exp(p, d * v / math.sqrt(hyp.minkowski_dot(v, v)))
+            dist = float(hyp.dist(p, q))
+            u = hyp.log(p, q)
+            assert abs(math.sqrt(hyp.minkowski_dot(u, u)) - dist) <= 1e-6 * dist
+            assert np.array_equal(u, hyp.log_many(p, q[None])[0])
+            g = hyp.grad_dist(p, q)
+            assert abs(math.sqrt(hyp.minkowski_dot(g, g)) - 1.0) <= 1e-6
+
+
 def test_grad_degenerate_error():
     p = hyp.HPoint.origin(2)
     with pytest.raises(DegenerateGradientError):

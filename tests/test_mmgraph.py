@@ -43,6 +43,36 @@ def test_ball_measure_nondecreasing():
     assert all(b >= a for a, b in zip(masses, masses[1:]))
 
 
+def test_ball_measure_of_radii_sums_in_settle_order():
+    # nonuniform measure and tied distances: each mass is the running sum
+    # over the heap's settle order, the same floats as one radius at a time
+    base = graphs.tutte_coxeter_graph()
+    measure = {v: 0.1 + 0.37 * (i % 7) for i, v in enumerate(base.vertices)}
+    g = MMGraph(base.vertices, base.edges, measure)
+    radii = [0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 8.0]
+    masses = ball_measure(g, 5, radii)
+    settled = heap_dijkstra(g, 5)
+    for r, mass in zip(radii, masses):
+        expected = 0.0
+        for v, d in settled.items():
+            if d <= r:
+                expected += g.measure[v]
+        assert mass == expected == ball_measure(g, 5, r)
+    with pytest.raises(ValueError):
+        ball_measure(g, 5, [1.0, -0.5])
+
+
+def test_distances_row_is_the_dijkstra_dict():
+    g = graphs.regular_tree(3, 6)
+    for cutoff in (None, 0.0, 2.5, 4.0):
+        row = g.distances(3, cutoff=cutoff)
+        ball = g.dijkstra(3, cutoff=cutoff)
+        assert row.shape == (g.n,)
+        assert {v: row[g.index[v]] for v in ball} == ball
+        outside = [g.index[v] for v in g.vertices if v not in ball]
+        assert np.all(row[outside] == np.inf)
+
+
 def test_volume_entropy_trees():
     g3 = graphs.regular_tree(3, 14)
     est3 = volume_entropy(g3, 0, 4, 12)

@@ -17,10 +17,13 @@ from barylab.naturalmap import (
     jacobian_mesh,
     mu_x_s,
     natural_map_point,
+    pushforward_with_fibers,
     run_natural_map,
     s_grid,
 )
 from barylab.transport import wasserstein1
+
+from oracles import loop_source_gradients
 
 
 def tree_cfg(s, radius=8.0, tol=1e-2):
@@ -101,6 +104,36 @@ def test_mu_deck_equivariance_exact():
     assert set(lhs) == set(rhs)
     for k in lhs:
         assert abs(lhs[k] - rhs[k]) <= 1e-12 * max(1.0, rhs[k])
+
+
+def test_pushforward_groups_equal_images_in_first_appearance_order():
+    # first appearance B, C, A against the sorted order A, B, C
+    images = np.array([[1.0, 2.0], [3.0, 0.0], [1.0, 2.0], [0.5, 0.0], [3.0, 0.0], [1.0, 2.0]])
+    w = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.7])
+    sites, weights, labels = pushforward_with_fibers(w, images)
+    assert sites.tolist() == [[1.0, 2.0], [3.0, 0.0], [0.5, 0.0]]
+    assert labels.tolist() == [0, 1, 0, 2, 1, 0]
+    assert weights.tolist() == [0.0 + 0.1 + 0.3 + 0.7, 0.0 + 0.2 + 0.5, 0.4]
+
+
+def test_source_gradients_match_the_per_fiber_loop():
+    # a folding embedding (pairs of vertices share an image) makes fibers
+    # of two atoms; the arithmetic differs from the loop only in the order
+    # of fiber sums and in x*x for pow(x, 2), so 1e-12 is set beforehand
+    from barylab.naturalmap import _ring_rows, source_gradients
+
+    g, emb = small_net(seed=21)
+    folded = {v: emb[g.vertices[2 * (g.index[v] // 2)]] for v in g.vertices}
+    cfg = NaturalMapConfig(s=2.5, truncation_radius=3.0, h_estimate=1.9,
+                           tail_tolerance=5.0)
+    center = min(g.vertices, key=lambda v: hyp.dist(emb[v], hyp.basepoint(3)))
+    _, info = natural_map_point(g, folded, center, cfg)
+    assert max(np.bincount(info["labels"])) == 2
+    G = source_gradients(g, center, g.distances(center), _ring_rows(g, center),
+                         info["atoms"], info["mu"].weights, info["labels"], 3)
+    sites, G_loop = loop_source_gradients(g, center, info["mu"], folded, 3)
+    assert info["sigma"].sites == sites
+    assert np.max(np.abs(G - G_loop)) <= 1e-12
 
 
 def test_natural_map_constant_embedding():
