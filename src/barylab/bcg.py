@@ -224,10 +224,6 @@ class ScanReport:
     ratios: np.ndarray
     deficits: np.ndarray
 
-    @property
-    def margins(self):
-        return self.bound - self.ratios
-
     def summary(self):
         return {
             "N": self.N,

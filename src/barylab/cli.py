@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__, graphs, hyperboloid as hyp
 from .barycenter import barycenter
 from .bcg import bcg_scan
-from .errors import BarylabError, BoundViolationError, SolverFailureError
-from .indices import coarea_check, ind_H_degree, pre_count, stallings_index
+from .errors import BarylabError, BoundViolationError, ConfigurationError, SolverFailureError
+from .indices import SimplicialMap, coarea_check, ind_H_degree, pre_count, stallings_index
 from .indices import fixtures as index_fixtures
 from .io import (
     load_embedding,
@@ -32,8 +32,10 @@ from .io import (
     load_measure,
     load_simplicial_map,
 )
-from .mmgraph import ball_measure, volume_entropy
-from .naturalmap import NaturalMapConfig, entropy_volume_report, natural_map_point, run_natural_map
+from .mmgraph import volume_entropy
+from .naturalmap import NaturalMapConfig, deck_equivariance, entropy_volume_report, gates
+# natural_map_point is not called here: perfbench's tracer wraps this import site
+from .naturalmap import natural_map_point, run_natural_map, worst_gates  # noqa: F401
 from .transport import wasserstein1
 
 
@@ -86,12 +88,7 @@ def cmd_entropy(args):
     est = volume_entropy(g, x, args.rmin, args.rmax, step=args.step)
     config = {"command": "entropy", "graph": args.graph, "basepoint": str(x),
               "rmin": args.rmin, "rmax": args.rmax, "step": args.step}
-    radii = []
-    r = args.rmin
-    while r <= args.rmax + 1e-12:
-        radii.append(r)
-        r += args.step
-    rows = [(r, math.log(mass)) for r, mass in zip(radii, ball_measure(g, x, radii))]
+    rows = [(r, math.log(mass)) for r, mass in zip(est.radii, est.masses)]
     out = os.path.join(args.out_dir, "entropy.csv")
     _write(out, f"# barylab {__version__} config {_digest(config)}\n"
            + _csv(rows, ["R", "log_mass"]))
@@ -142,19 +139,14 @@ def cmd_wasserstein(args):
 
 def _build_naturalmap_fixture(spec, seed):
     kind = spec.get("type", "rotation_net")
+    shape = {"n": spec.get("dim", 3), "radius": spec.get("radius", 2.0),
+             "spacing": spec.get("spacing", 0.3), "edge_factor": spec.get("edge_factor", 2.0)}
     rng = np.random.default_rng(seed)
     if kind == "ball_net":
-        g, emb = graphs.hyperbolic_ball_net(
-            rng, n=spec.get("dim", 3), radius=spec.get("radius", 2.0),
-            spacing=spec.get("spacing", 0.3),
-            edge_factor=spec.get("edge_factor", 2.0))
+        g, emb = graphs.hyperbolic_ball_net(rng, **shape)
         return g, emb, None, None
     if kind == "rotation_net":
-        g, emb, deck, rot = graphs.rotation_symmetric_net(
-            rng, order=spec.get("order", 4), n=spec.get("dim", 3),
-            radius=spec.get("radius", 2.0), spacing=spec.get("spacing", 0.3),
-            edge_factor=spec.get("edge_factor", 2.0))
-        return g, emb, deck, rot
+        return graphs.rotation_symmetric_net(rng, order=spec.get("order", 4), **shape)
     raise ValueError(f"unknown naturalmap fixture type {kind!r}")
 
 
@@ -203,31 +195,22 @@ def cmd_naturalmap(args):
     n = run.records[0].tensors.dim
     h0 = n - 1
     report = entropy_volume_report(run, h0=h0)
-    rows = []
-    violations = 0
-    for r in run.records:
-        bound = r.jac_bound(h0)
-        gap = bound - r.jac_formula
-        if (abs(r.trace_H - 1) > 1e-8 or r.min_eig_K_minus_ImH < -1e-8
-                or r.det_B > n**-n * (1 + 1e-6) or gap < -1e-6 * bound):
-            violations += 1
-        rows.append((
-            str(r.x), r.s, *[float(c) for c in r.point], r.trace_H,
-            r.h_deviation, r.det_K, r.jac_formula, r.jac_mesh, bound, gap,
-            r.tensors.eta_mass, r.tensors.tail_bound,
-            r.tensors.excluded_mass, r.cond, r.det_B, r.cs_gap,
-        ))
+    tables = [gates(r, h0) for r in run.records]
     equivariance = None
     if deck is not None:
-        devs = []
-        for x in samples[: min(4, len(samples))]:
-            fx, _ = natural_map_point(cover, emb, x, cfg)
-            fgx, _ = natural_map_point(cover, emb, deck[x], cfg)
-            devs.append(float(hyp.dist(fgx.coords,
-                                       hyp.project_to_sheet(rot @ fx.coords))))
-        equivariance = max(devs)
-        if equivariance > 1e-6:
-            violations += 1
+        gate = deck_equivariance(cover, emb, deck, rot, samples[:4], cfg)
+        equivariance = gate.value
+        tables.append([gate])
+    violations = sum(not all(g.passed for g in table) for table in tables)
+    rows = []
+    for r in run.records:
+        bound = r.jac_bound(h0)
+        rows.append((
+            str(r.x), r.s, *[float(c) for c in r.point], r.trace_H,
+            r.h_deviation, r.det_K, r.jac_formula, r.jac_mesh, bound,
+            bound - r.jac_formula, r.tensors.eta_mass, r.tensors.tail_bound,
+            r.tensors.excluded_mass, r.cond, r.det_B, r.cs_gap,
+        ))
     header = (["x", "s"] + [f"F{i}" for i in range(n + 1)]
               + ["trace_H", "H_dev", "det_K", "jac_formula", "jac_mesh",
                  "bound", "gap", "eta_mass", "tail_bound", "excluded_mass",
@@ -244,6 +227,7 @@ def cmd_naturalmap(args):
         "s_values": s_values,
         "per_s": report,
         "equivariance": equivariance,
+        "gates": worst_gates(tables),
         "violations": violations,
         "run_csv": run_csv,
     }
@@ -284,24 +268,10 @@ def cmd_indices(args):
     out = dict(_stamp(config))
     smap = None
     if "fixture" in data:
-        spec = data["fixture"]
-        kind = spec.get("type")
-        if kind == "torus_cover":
-            smap = index_fixtures.torus_cover_map(spec.get("k", 2))
-            data.setdefault("subgroup", {
-                "rank": 2,
-                "generators": index_fixtures.cyclic_cover_subgroup(spec.get("k", 2)),
-            })
-        elif kind == "sphere_double_wrap":
-            smap = index_fixtures.sphere_double_wrap()
-            data.setdefault("declared_ind_pi", 1)
-        elif kind == "octahedron_identity":
-            sphere = index_fixtures.octahedron()
-            from .indices.simplicial import SimplicialMap
-
-            smap = SimplicialMap(sphere, sphere, {v: v for v in sphere.vertices})
-        else:
-            raise ValueError(f"unknown indices fixture type {kind!r}")
+        smap, fixture_data = index_fixtures.from_spec(data["fixture"], rng=args.seed)
+        if not isinstance(smap, SimplicialMap):
+            raise ConfigurationError("indices needs a simplicial map, not a PL fixture")
+        data = {**fixture_data, **data}
     elif "simplicial_map" in data:
         smap = load_simplicial_map(data["simplicial_map"])
     if smap is not None and args.mode in ("pre", "all"):
@@ -331,22 +301,7 @@ def cmd_coarea(args):
     config = {"command": "coarea", "input": args.input,
               "samples": args.samples, "seed": args.seed}
     if "fixture" in data:
-        spec = data["fixture"]
-        kind = spec.get("type")
-        if kind == "identity_pl":
-            fmap = index_fixtures.identity_pl_map(spec.get("m", 4))
-        elif kind == "jittered_pl":
-            fmap = index_fixtures.jittered_pl_map(
-                spec.get("m", 6), spec.get("amplitude", 0.8), rng=args.seed)
-        elif kind == "torus_cover":
-            fmap = index_fixtures.torus_cover_map(spec.get("k", 2))
-        elif kind == "octahedron_identity":
-            sphere = index_fixtures.octahedron()
-            from .indices.simplicial import SimplicialMap
-
-            fmap = SimplicialMap(sphere, sphere, {v: v for v in sphere.vertices})
-        else:
-            raise ValueError(f"unknown coarea fixture type {kind!r}")
+        fmap, _ = index_fixtures.from_spec(data["fixture"], rng=args.seed)
     else:
         fmap = load_simplicial_map(data["simplicial_map"])
     report = coarea_check(fmap, samples=args.samples, rng=args.seed)

@@ -90,21 +90,41 @@ def basepoint(n):
     return o
 
 
-def dist(p, q):
-    """Geodesic distance.
+def _dist_log(p, q, with_log):
+    """The one distance/log kernel: d(p, q), and log_p(q) when `with_log`.
 
-    Uses d = 2*asinh(|p-q|_M / 2), which is exact on the hyperboloid and
-    avoids the catastrophic cancellation of acosh(-<p,q>_M) near zero.
+    Shapes broadcast.  d = 2*asinh(|q-p|_M / 2) is exact on the hyperboloid
+    and avoids the cancellation of acosh(-<p,q>_M) near zero.  On the sheet
+    |q-p|_M^2 = 2(-<p,q>_M - 1), so the inputs are off the sheet when it
+    drops below -2 * TOL.ill_conditioned.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    mu = -minkowski_dot(p, q)
-    if np.any(mu < 1.0 - TOL.ill_conditioned):
+    diff = q - p
+    chord_sq = minkowski_dot(diff, diff)
+    if np.any(chord_sq < -2.0 * TOL.ill_conditioned):
         raise InvalidPointError(
-            f"-<p,q>_M = {float(np.min(mu)):.12f} < 1; inputs are off the sheet"
+            f"-<p,q>_M = {1.0 + 0.5 * float(np.min(chord_sq)):.12f} < 1; "
+            "inputs are off the sheet"
         )
-    chord_sq = np.maximum(minkowski_dot(p - q, p - q), 0.0)
-    return 2.0 * np.arcsinh(0.5 * np.sqrt(chord_sq))
+    d = 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(chord_sq, 0.0)))
+    if not with_log:
+        return d
+    mu = -minkowski_dot(p, q)
+    # factor 1 where mu^2 - 1 rounds to 0: there d / sinh(d) is 1 to double precision
+    sinh_d = np.sqrt(np.maximum(mu * mu - 1.0, 0.0))
+    factor = np.where(sinh_d < 1e-300, 1.0, d / np.where(sinh_d < 1e-300, 1.0, sinh_d))
+    return d, tangent_project(p, factor[..., None] * (q - mu[..., None] * p))
+
+
+def dist(p, q):
+    """Geodesic distance (see `_dist_log`)."""
+    return _dist_log(p, q, False)
+
+
+def dist_many(p, Q):
+    """Distance from p to each row of Q."""
+    return _dist_log(p, np.atleast_2d(Q), False)
 
 
 def exp(p, v):
@@ -124,37 +144,15 @@ def exp(p, v):
 
 def log(p, q):
     """Tangent vector at p whose exponential is q; |log(p,q)|_M = dist(p,q)."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    mu = -minkowski_dot(p, q)
-    d = dist(p, q)
+    d, v = _dist_log(p, q, True)
     if np.ndim(d) == 0 and d < 1e-300:
-        return np.zeros_like(p)
-    # factor 1 where mu^2 - 1 rounds to 0: there d / sinh(d) is 1 to double precision
-    sinh_d = np.sqrt(np.maximum(mu * mu - 1.0, 0.0))
-    factor = np.where(sinh_d < 1e-300, 1.0, d / np.where(sinh_d < 1e-300, 1.0, sinh_d))
-    return tangent_project(p, factor[..., None] * (q - mu[..., None] * p))
+        return np.zeros_like(v)
+    return v
 
 
 def log_many(p, Q):
     """Log map from a single point p to each row of Q; returns (m, n+1)."""
-    p = np.asarray(p, dtype=float)
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    mu = -minkowski_dot(Q, p)
-    chord_sq = np.maximum(minkowski_dot(Q - p, Q - p), 0.0)
-    d = 2.0 * np.arcsinh(0.5 * np.sqrt(chord_sq))
-    sinh_d = np.sqrt(np.maximum(mu * mu - 1.0, 0.0))
-    factor = np.where(sinh_d < 1e-300, 1.0, d / np.where(sinh_d < 1e-300, 1.0, sinh_d))
-    V = factor[:, None] * (Q - mu[:, None] * p)
-    return V + minkowski_dot(p, V)[:, None] * p
-
-
-def dist_many(p, Q):
-    """Distance from p to each row of Q."""
-    p = np.asarray(p, dtype=float)
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    chord_sq = np.maximum(minkowski_dot(Q - p, Q - p), 0.0)
-    return 2.0 * np.arcsinh(0.5 * np.sqrt(chord_sq))
+    return _dist_log(p, np.atleast_2d(Q), True)[1]
 
 
 def tangent_frame(p):
@@ -181,10 +179,10 @@ def tangent_frame(p):
 
 def grad_dist(y, z):
     """Unit tangent at y pointing away from z (the gradient of d(., z))."""
-    d = dist(y, z)
+    d, v = _dist_log(y, z, True)
     if d < TOL.coincident:
         raise DegenerateGradientError("gradient of distance undefined at coincident points")
-    return -log(y, z) / d
+    return -v / d
 
 
 def hess_dist_matrix(y, z, frame=None):
@@ -194,12 +192,12 @@ def hess_dist_matrix(y, z, frame=None):
     radial direction: eigenvalue 0 along g, coth(d) on its orthocomplement.
     Returns (matrix, frame).
     """
-    d = float(dist(y, z))
+    d, v = _dist_log(y, z, True)
     if d < TOL.coincident:
         raise SingularHessianError("Hessian of distance singular at coincident points")
     if frame is None:
         frame = tangent_frame(np.asarray(y, dtype=float))
-    g = grad_dist(y, z)
+    g = -v / d
     g_cof = frame @ (_j_matrix(frame.shape[1] - 1) @ g)
     n = frame.shape[0]
     coth = 1.0 / math.tanh(d)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from .simplicial import PLMap, Pseudomanifold, SimplicialMap
 
 
@@ -21,6 +22,12 @@ def octahedron() -> Pseudomanifold:
     ]
     charts = [_equilateral_chart() for _ in faces]
     return Pseudomanifold(2, faces, charts)
+
+
+def octahedron_identity() -> SimplicialMap:
+    """The identity of the octahedron: degree 1, one preimage everywhere."""
+    sphere = octahedron()
+    return SimplicialMap(sphere, sphere, {v: v for v in sphere.vertices})
 
 
 def octahedron_reflection() -> SimplicialMap:
@@ -146,3 +153,26 @@ def cyclic_cover_subgroup(k: int):
     for i in range(k):
         gens.append("a" * i + "b" + "A" * i)
     return gens
+
+
+# type -> (map, data): data holds invariants the input may declare instead
+_SPECS = {
+    "torus_cover": lambda spec, rng: (
+        torus_cover_map(spec.get("k", 2)),
+        {"subgroup": {"rank": 2, "generators": cyclic_cover_subgroup(spec.get("k", 2))}}),
+    "sphere_double_wrap": lambda spec, rng: (sphere_double_wrap(), {"declared_ind_pi": 1}),
+    "octahedron_identity": lambda spec, rng: (octahedron_identity(), {}),
+    "identity_pl": lambda spec, rng: (identity_pl_map(spec.get("m", 4)), {}),
+    "jittered_pl": lambda spec, rng: (
+        jittered_pl_map(spec.get("m", 6), spec.get("amplitude", 0.8), rng=rng), {}),
+}
+
+
+def from_spec(spec, rng=None):
+    """(map, data) for a JSON spec such as {"type": "torus_cover", "k": 3}:
+    a SimplicialMap or PLMap, and the fixture's known invariants
+    ("subgroup", "declared_ind_pi")."""
+    kind = spec.get("type")
+    if kind not in _SPECS:
+        raise ConfigurationError(f"unknown fixture type {kind!r}; expected one of {sorted(_SPECS)}")
+    return _SPECS[kind](spec, rng)

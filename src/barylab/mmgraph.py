@@ -4,13 +4,12 @@ covers with deck actions, ball growth and volume-entropy estimation.
 Graphs are immutable after construction.  Covers are built from voltage
 assignments (a permutation of the sheet set per base edge), which gives a
 programmable deck group with the covering property holding by construction;
-deck transformations are recovered from the centralizer of the monodromy
-group, conjugated along a spanning tree.
+deck transformations are found by lifting, each being fixed by the image of
+one vertex.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -195,12 +194,15 @@ class EntropyEstimate:
     """Least-squares growth rate of log ball mass over a finite window.
 
     The limit definition is unreachable at finite scale; `residual` (the
-    regression RMS) quantifies how trustworthy the window was.
+    regression RMS) quantifies how trustworthy the window was.  `radii`
+    and `masses` are the sampled radii and their ball masses.
     """
 
     h: float
     window: tuple
     residual: float
+    radii: tuple
+    masses: tuple
 
 
 def ball_measure(g: MMGraph, x, R):
@@ -246,7 +248,8 @@ def volume_entropy(g: MMGraph, x, r_min: float, r_max: float, step: float = 1.0)
     slope, intercept = np.polyfit(xs, ys, 1)
     fit = slope * xs + intercept
     residual = float(np.sqrt(np.mean((ys - fit) ** 2)))
-    return EntropyEstimate(float(slope), (r_min, r_max), residual)
+    return EntropyEstimate(float(slope), (r_min, r_max), residual, tuple(radii),
+                           tuple(masses.tolist()))
 
 
 def lipschitz_constant(f, domain: MMGraph, target_metric, mode: str = "all") -> float:
@@ -279,11 +282,6 @@ def lipschitz_constant(f, domain: MMGraph, target_metric, mode: str = "all") -> 
 # ---------------------------------------------------------------------------
 # covers
 # ---------------------------------------------------------------------------
-
-def _compose(p, q):
-    """Permutation composition p after q (tuples in one-line notation)."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
 
 def _inverse(p):
     inv = [0] * len(p)
@@ -337,13 +335,8 @@ class CoverMap:
 
 def _half_edge_star(g: MMGraph, v):
     """Half-edges at v: a loop contributes two entries."""
-    star = []
-    for u, w, length in g.edges:
-        if u == v:
-            star.append((w, length))
-        if w == v:
-            star.append((u, length))
-    return star
+    star = g.neighbors(v)
+    return star + [(u, length) for u, length in star if u == v]
 
 
 def build_cover(base: MMGraph, voltage: dict) -> CoverMap:
@@ -394,64 +387,34 @@ def build_cover(base: MMGraph, voltage: dict) -> CoverMap:
     return CoverMap(total=total, base=base, projection=projection, deck=deck, sheets=k)
 
 
-def _deck_transformations(base: MMGraph, perms: dict, k: int, max_sheets=8):
-    """Deck maps (v, s) -> (v, (t_v delta t_v^-1)(s)) for delta in the
-    centralizer of the monodromy group, found by brute force over S_k."""
-    if k > max_sheets:
-        return []
-    root = base.vertices[0]
-    ident = tuple(range(k))
-    tree_voltage = {root: ident}
-    stack = [root]
-    non_tree = set(range(len(base.edges)))
+def _deck_transformations(base: MMGraph, perms: dict, k: int):
+    """Deck maps of the connected voltage cover, one for each image (root, t)
+    of (root, 0) that lifts, in the order of t: a deck map is fixed by the
+    image of one vertex (unique lifting; Hatcher, Algebraic Topology, 1.3).
+    """
     incident = {v: [] for v in base.vertices}
     for e, (u, v, _) in enumerate(base.edges):
-        incident[u].append((e, v, False))
-        incident[v].append((e, u, True))
+        incident[u].append((v, perms[e]))
+        incident[v].append((u, _inverse(perms[e])))
+    root = base.vertices[0]
+    lifts = (_lift(incident, root, t) for t in range(k))
+    return [phi for phi in lifts if phi is not None]
+
+
+def _lift(incident, root, t):
+    """The deck map sending (root, 0) to (root, t), carried along every
+    lifted edge (u, s) -> (v, p(s)) to (u, phi(s)) -> (v, p(phi(s))); None
+    when some vertex would get two images."""
+    phi = {(root, 0): (root, t)}
+    stack = [(root, 0)]
     while stack:
-        u = stack.pop()
-        for e, v, reverse in incident[u]:
-            if v in tree_voltage:
-                continue
-            p = perms[e]
-            if reverse:
-                p = _inverse(p)
-            tree_voltage[v] = _compose(p, tree_voltage[u])
-            non_tree.discard(e)
-            stack.append(v)
-    loops = []
-    for e in non_tree:
-        u, v, _ = base.edges[e]
-        lam = _compose(_inverse(tree_voltage[v]), _compose(perms[e], tree_voltage[u]))
-        loops.append(lam)
-    monodromy = _closure(loops, k)
-    deck = []
-    for delta in itertools.permutations(range(k)):
-        if all(_compose(delta, g) == _compose(g, delta) for g in monodromy):
-            phi = {}
-            for v in base.vertices:
-                t = tree_voltage[v]
-                conj = _compose(t, _compose(delta, _inverse(t)))
-                for s in range(k):
-                    phi[(v, s)] = (v, conj[s])
-            deck.append(phi)
-    return deck
-
-
-def _closure(gens, k, cap=40320):
-    ident = tuple(range(k))
-    group = {ident}
-    frontier = [ident]
-    gens = [tuple(g) for g in gens]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                gh = _compose(g, h)
-                if gh not in group:
-                    group.add(gh)
-                    nxt.append(gh)
-                    if len(group) > cap:
-                        raise ValueError("monodromy group too large to enumerate")
-        frontier = nxt
-    return group
+        u, s = stack.pop()
+        image = phi[(u, s)][1]
+        for v, p in incident[u]:
+            w = (v, p[s])
+            if w not in phi:
+                phi[w] = (v, p[image])
+                stack.append(w)
+            elif phi[w] != (v, p[image]):
+                return None
+    return phi

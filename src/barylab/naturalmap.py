@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -436,6 +437,62 @@ class PointRecord:
 
     def jac_bound(self, h0):
         return (self.s / h0) ** self.tensors.dim
+
+
+class Gate(NamedTuple):
+    """An acceptance gate: a measured value against its threshold."""
+
+    name: str
+    value: float
+    threshold: float
+    passed: bool
+
+    @property
+    def margin(self):
+        """Distance from the value to the threshold, negative on failure."""
+        gap = abs(self.threshold - self.value)
+        return gap if self.passed else -gap
+
+
+def _at_most(name, value, limit):
+    return Gate(name, value, limit, value <= limit)
+
+
+def gates(record: PointRecord, h0: float):
+    """The four tensor gates of one record, in a fixed order."""
+    n = record.tensors.dim
+    eig = record.min_eig_K_minus_ImH
+    return [
+        _at_most("trace_H", abs(record.trace_H - 1.0), 1e-8),
+        Gate("K_minus_ImH", eig, -1e-8, eig >= -1e-8),
+        _at_most("det_B", record.det_B, n**-n * (1 + 1e-6)),
+        _at_most("jac_formula", record.jac_formula, record.jac_bound(h0) * (1 + 1e-6)),
+    ]
+
+
+def deck_equivariance(cover: MMGraph, f_tilde, deck, rot, xs, cfg: NaturalMapConfig):
+    """The gate max over x in `xs` of d(F(deck x), rot F(x)) < 1e-6."""
+    images = _images(cover, f_tilde)
+    worst = 0.0
+    for x in xs:
+        fx, _ = natural_map_point(cover, images, x, cfg)
+        fgx, _ = natural_map_point(cover, images, deck[x], cfg)
+        worst = max(worst, float(hyp.dist(fgx.coords, hyp.project_to_sheet(rot @ fx.coords))))
+    return Gate("deck_equivariance", worst, 1e-6, worst < 1e-6)
+
+
+def worst_gates(tables):
+    """Per gate name over lists of Gates: the threshold, value and margin
+    of the least-margin entry, and whether every entry passed."""
+    by_name = {}
+    for gate in (g for table in tables for g in table):
+        by_name.setdefault(gate.name, []).append(gate)
+    out = {}
+    for name, entries in by_name.items():
+        worst = min(entries, key=lambda g: g.margin)
+        out[name] = {"threshold": worst.threshold, "worst": worst.value,
+                     "margin": worst.margin, "passed": all(g.passed for g in entries)}
+    return out
 
 
 @dataclass

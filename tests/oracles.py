@@ -5,8 +5,9 @@ search over a tangent chart (no gradient descent), the Wasserstein oracle
 enumerates unit assignments, the entropy oracle uses closed-form sphere
 counts on regular trees, the shortest-path oracle is a binary-heap Dijkstra
 over the edge list, the source-gradient oracle loops over atoms and fibers
-with distance dicts, and the rotation-net oracle builds the fixture one
-sample and one orbit pair at a time.
+with distance dicts, the rotation-net oracle builds the fixture one
+sample and one orbit pair at a time, and the deck oracle tries every
+permutation of the sheets against the whole monodromy group.
 """
 
 import heapq
@@ -251,3 +252,52 @@ def scalar_rotation_net(rng, order=4, n=3, radius=2.0, spacing=0.35,
                 for shift in shifts:
                     edges.append(((o1, shift), (o2, (s + shift) % order), float(d[s])))
     return vertices, edges, embedding
+
+
+def brute_force_deck(base, voltage):
+    """Deck maps of a connected voltage cover by brute force over S_k.
+
+    Every permutation delta of the root fiber that commutes with the whole
+    monodromy group (the closure of the loop permutations of a depth-first
+    spanning tree), carried to each fiber along the tree, in lexicographic
+    order of delta.  Missing voltages are the identity.
+    """
+    k = len(next(iter(voltage.values())))
+    ident = tuple(range(k))
+    perms = [tuple(voltage.get(e, ident)) for e in range(len(base.edges))]
+
+    def compose(p, q):  # p after q
+        return tuple(p[i] for i in q)
+
+    def inverse(p):
+        return tuple(sorted(range(k), key=lambda i: p[i]))
+
+    root = base.vertices[0]
+    tree = {root: ident}
+    used = set()
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for e, (a, b, _) in enumerate(base.edges):
+            for x, y, p in ((a, b, perms[e]), (b, a, inverse(perms[e]))):
+                if x == u and y not in tree:
+                    tree[y] = compose(p, tree[u])
+                    used.add(e)
+                    stack.append(y)
+    group = {ident}
+    frontier = [ident]
+    gens = [compose(inverse(tree[b]), compose(perms[e], tree[a]))
+            for e, (a, b, _) in enumerate(base.edges) if e not in used]
+    while frontier:
+        frontier = [compose(g, h) for g in frontier for h in gens]
+        frontier = [g for g in dict.fromkeys(frontier) if g not in group]
+        group.update(frontier)
+    deck = []
+    for delta in itertools.permutations(range(k)):
+        if all(compose(delta, g) == compose(g, delta) for g in group):
+            phi = {}
+            for v in base.vertices:
+                conj = compose(tree[v], compose(delta, inverse(tree[v])))
+                phi.update({(v, s): (v, conj[s]) for s in range(k)})
+            deck.append(phi)
+    return deck

@@ -18,7 +18,13 @@ from barylab.indices import coarea_check, fold_words, ind_H_degree, pre_count, s
 from barylab.indices import fixtures as ifx
 from barylab.measures import DiscreteMeasure
 from barylab.mmgraph import volume_entropy
-from barylab.naturalmap import NaturalMapConfig, natural_map_point, run_natural_map
+from barylab.naturalmap import (
+    NaturalMapConfig,
+    deck_equivariance,
+    gates,
+    run_natural_map,
+    worst_gates,
+)
 from barylab.transport import brute_force_w1, wasserstein1
 
 from oracles import (
@@ -229,31 +235,20 @@ def test_acceptance_7_naturalmap(big_net):
     d0 = g.dijkstra(center)
     samples = sorted(g.vertices, key=lambda v: (d0[v], str(v)))[:24]
     run = run_natural_map(g, emb, cfg, samples, s_values=s_values)
-    n = 3
-    worst_trace = max(abs(r.trace_H - 1.0) for r in run.records)
-    worst_K = min(r.min_eig_K_minus_ImH for r in run.records)
-    worst_B = max(r.det_B - n**-n * (1 + 1e-6) for r in run.records)
-    worst_jac = max(r.jac_formula - r.jac_bound(n - 1) * (1 + 1e-6)
-                    for r in run.records)
-    # deck equivariance of the full pipeline
-    equiv = 0.0
-    for x in samples[:4]:
-        fx, _ = natural_map_point(g, emb, x, cfg)
-        fgx, _ = natural_map_point(g, emb, deck[x], cfg)
-        equiv = max(equiv, float(hyp.dist(fgx.coords,
-                                          hyp.project_to_sheet(rot @ fx.coords))))
+    # the tensor gates of every record (h0 = N - 1 = 2) and the deck
+    # equivariance of the full pipeline, each at its one threshold
+    tables = [gates(r, 2) for r in run.records]
+    tables.append([deck_equivariance(g, emb, deck, rot, samples[:4], cfg)])
+    worst = worst_gates(tables)
     # H -> I/N monitor (diagnostic, not asserted): deviation along the s grid
     monitor = {s: max(r.h_deviation for r in run.for_s(s)) for s in s_values}
     elapsed = time.monotonic() - t0
-    ok = (worst_trace <= 1e-8 and worst_K >= -1e-8 and worst_B <= 0
-          and worst_jac <= 0 and equiv < 1e-6 and elapsed < 600.0)
+    ok = len(worst) == 5 and all(w["passed"] for w in worst.values()) and elapsed < 600.0
     report(7, ok, f"{g.n} vertices, {len(samples)} samples x 3 s-values: "
-                  f"max |trace H - 1| = {worst_trace:.1e} (tol 1e-8), "
-                  f"min eig(K-(I-H)) = {worst_K:.1e} (tol -1e-8), "
-                  f"det B - N^-N(1+1e-6) <= {worst_B:.1e}, "
-                  f"jac - bound(1+1e-6) <= {worst_jac:.1e}, "
-                  f"deck equivariance {equiv:.1e} (tol 1e-6); "
-                  f"H-monitor {[round(monitor[s], 4) for s in s_values]} "
+                  + ", ".join(f"{name} worst {w['worst']:.1e} vs threshold "
+                              f"{w['threshold']:.1e} (margin {w['margin']:.1e})"
+                              for name, w in worst.items())
+                  + f"; H-monitor {[round(monitor[s], 4) for s in s_values]} "
                   f"for s {[round(s, 3) for s in s_values]}; "
                   f"{elapsed:.0f}s (< 600s)")
 
@@ -263,11 +258,7 @@ def test_acceptance_7_naturalmap(big_net):
 # ---------------------------------------------------------------------------
 
 def test_acceptance_8_coarea():
-    sphere = ifx.octahedron()
-    from barylab.indices import SimplicialMap
-
-    ident = SimplicialMap(sphere, sphere, {v: v for v in sphere.vertices})
-    r_id = coarea_check(ident, samples=10_000, rng=1)
+    r_id = coarea_check(ifx.octahedron_identity(), samples=10_000, rng=1)
     cover = ifx.torus_cover_map(2)
     r_cov = coarea_check(cover, samples=10_000, rng=2)
     plm = ifx.jittered_pl_map(6, amplitude=0.9, rng=3)

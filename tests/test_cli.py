@@ -152,6 +152,41 @@ def test_indices_command_fixture(tmp_path):
     assert payload["consistency"] == "OK"
 
 
+@pytest.mark.parametrize("spec, expected", [
+    ({"type": "torus_cover", "k": 3}, {"pre": 3.0, "ind_H": 3, "ind_pi": 3}),
+    ({"type": "sphere_double_wrap"}, {"pre": 2.0, "ind_H": 2, "ind_pi": 1}),
+    ({"type": "octahedron_identity"}, {"pre": 1.0, "ind_H": 1}),
+])
+def test_indices_command_simplicial_fixtures(tmp_path, spec, expected):
+    ipath = tmp_path / "fixture.json"
+    ipath.write_text(json.dumps({"fixture": spec}))
+    code, out, _ = run_cli(["indices", str(ipath), "--samples", "40"], tmp_path)
+    assert code == 0
+    payload = json.loads(out)
+    assert {key: payload.get(key) for key in expected} == expected
+    assert payload["consistency"] == "OK"
+
+
+@pytest.mark.parametrize("spec", [{"type": "identity_pl", "m": 3},
+                                  {"type": "jittered_pl", "m": 4},
+                                  {"type": "klein_bottle"}])
+def test_indices_rejects_pl_and_unknown_fixtures(tmp_path, spec):
+    ipath = tmp_path / "fixture.json"
+    ipath.write_text(json.dumps({"fixture": spec}))
+    code, out, _ = run_cli(["indices", str(ipath)], tmp_path)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("kind", ["torus_cover", "sphere_double_wrap",
+                                  "octahedron_identity", "jittered_pl"])
+def test_coarea_command_fixtures(tmp_path, kind):
+    ipath = tmp_path / "coarea.json"
+    ipath.write_text(json.dumps({"fixture": {"type": kind}}))
+    code, out, _ = run_cli(["coarea", str(ipath), "--samples", "4000"], tmp_path)
+    assert code == 0
+    assert json.loads(out)["relative_gap"] < 0.05
+
+
 def test_indices_command_subgroup_only(tmp_path):
     ipath = tmp_path / "subgroup.json"
     ipath.write_text(json.dumps(
@@ -192,6 +227,11 @@ def test_naturalmap_command_small(tmp_path):
     payload = json.loads(out)
     assert payload["violations"] == 0
     assert payload["equivariance"] < 1e-6
+    assert sorted(payload["gates"]) == ["K_minus_ImH", "deck_equivariance", "det_B",
+                                        "jac_formula", "trace_H"]
+    assert all(g["passed"] and g["margin"] > 0 for g in payload["gates"].values())
+    assert payload["gates"]["deck_equivariance"]["worst"] == payload["equivariance"]
+    assert json.loads(files["naturalmap_summary.json"]) == payload
     for row in payload["per_s"]:
         assert row["max_pointwise_violation"] <= 1e-6
     assert "naturalmap_run.csv" in files and "naturalmap_summary.json" in files

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from barylab.errors import NonGenericSampleError
+from barylab.errors import ConfigurationError, NonGenericSampleError
 from barylab.indices import (
+    PLMap,
     Pseudomanifold,
     SimplicialMap,
     coarea_check,
@@ -42,13 +43,29 @@ def test_bad_complexes_rejected():
         Pseudomanifold(2, faces)
 
 
+def test_fixture_specs_build_maps_and_their_invariants():
+    smap, data = fixtures.from_spec({"type": "torus_cover", "k": 3})
+    assert isinstance(smap, SimplicialMap) and len(smap.domain.simplices) == 54
+    assert data == {"subgroup": {"rank": 2, "generators": fixtures.cyclic_cover_subgroup(3)}}
+    smap, data = fixtures.from_spec({"type": "sphere_double_wrap"})
+    assert isinstance(smap, SimplicialMap) and data == {"declared_ind_pi": 1}
+    smap, data = fixtures.from_spec({"type": "octahedron_identity"})
+    assert smap.vertex_map == {v: v for v in fixtures.octahedron().vertices} and data == {}
+    plm, data = fixtures.from_spec({"type": "identity_pl", "m": 3})
+    assert isinstance(plm, PLMap) and data == {}
+    a, _ = fixtures.from_spec({"type": "jittered_pl", "m": 4, "amplitude": 0.5}, rng=9)
+    b = fixtures.jittered_pl_map(4, 0.5, rng=9)
+    assert all(np.array_equal(x, y) for x, y in zip(a.image_simplices, b.image_simplices))
+    with pytest.raises(ConfigurationError):
+        fixtures.from_spec({"type": "klein_bottle"})
+
+
 # ---------------------------------------------------------------------------
 # pre, degree, ind_H
 # ---------------------------------------------------------------------------
 
 def test_identity_map_invariants():
-    sphere = fixtures.octahedron()
-    ident = SimplicialMap(sphere, sphere, {v: v for v in sphere.vertices})
+    ident = fixtures.octahedron_identity()
     assert pre_count(ident, 200, rng=1) == 1.0
     assert ind_H_degree(ident, rng=1) == 1
     tgt = 0
@@ -187,11 +204,10 @@ def test_word_parsing():
 # ---------------------------------------------------------------------------
 
 def test_coarea_identity_map():
-    sphere = fixtures.octahedron()
-    ident = SimplicialMap(sphere, sphere, {v: v for v in sphere.vertices})
+    ident = fixtures.octahedron_identity()
     report = coarea_check(ident, samples=2000, rng=1)
     assert report["relative_gap"] < 1e-12
-    assert report["lhs"] == pytest.approx(sphere.total_volume)
+    assert report["lhs"] == pytest.approx(ident.domain.total_volume)
 
 
 def test_coarea_two_sheeted_cover():

@@ -18,7 +18,7 @@ from barylab.mmgraph import (
     volume_entropy,
 )
 
-from oracles import heap_dijkstra, regular_tree_ball_mass, scalar_rotation_net
+from oracles import brute_force_deck, heap_dijkstra, regular_tree_ball_mass, scalar_rotation_net
 
 RNG = np.random.default_rng(3)
 
@@ -98,6 +98,14 @@ def test_volume_entropy_basepoint_independence():
         assert abs(e.h - ests[0].h) <= 2 * (e.residual + ests[0].residual) + 1e-12
 
 
+def test_volume_entropy_carries_its_radii_and_masses():
+    g = graphs.regular_tree(3, 10)
+    est = volume_entropy(g, 0, 2, 6, step=0.5)
+    assert est.radii == (2, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0)
+    assert est.masses == tuple(ball_measure(g, 0, est.radii).tolist())
+    assert est.masses == tuple(float(regular_tree_ball_mass(3, r)) for r in est.radii)
+
+
 def test_volume_entropy_saturation_error():
     g = graphs.path_graph(30)
     with pytest.raises(WindowSaturationError):
@@ -118,6 +126,58 @@ def test_cover_single_loop_cycle():
     assert sorted(cover.total.dijkstra((0, 0)).values()) == [0, 1, 1, 2, 2]
     cover.validate()
     assert len(cover.deck) == 5  # cyclic deck group
+    assert cover.deck == brute_force_deck(base, {0: (1, 2, 3, 4, 0)})
+
+
+def test_cover_deck_maps_beyond_eight_sheets():
+    # the 9-sheeted cyclic cover of the one-loop graph is a 9-cycle whose
+    # deck group is its 9 rotations, listed by the image of sheet 0
+    base = graphs.rose_graph(1)
+    cover = build_cover(base, {0: tuple((s + 1) % 9 for s in range(9))})
+    cover.validate()
+    assert len(cover.deck) == 9
+    for t, phi in enumerate(cover.deck):
+        assert phi == {(0, s): (0, (s + t) % 9) for s in range(9)}
+        edges = {frozenset((phi[u], phi[v])) for u, v, _ in cover.total.edges}
+        assert edges == {frozenset((u, v)) for u, v, _ in cover.total.edges}
+
+
+def _abelian_voltage(rng, base, k):
+    """Voltages in a sheet-relabelled regular representation of Z_k or of
+    Z_2 x Z_(k/2): covers with a deck group of order k when connected."""
+    shape = (2, k // 2) if k % 2 == 0 and rng.random() < 0.5 else (k,)
+    grid = np.arange(k).reshape(shape)
+    relabel = rng.permutation(k)
+    voltage = {}
+    for e in range(len(base.edges)):
+        shift = [int(rng.integers(m)) for m in shape]
+        moved = np.roll(grid, [-a for a in shift], axis=tuple(range(len(shape))))
+        perm = np.empty(k, dtype=int)
+        perm[relabel[grid.ravel()]] = relabel[moved.ravel()]
+        voltage[e] = tuple(int(i) for i in perm)
+    return voltage
+
+
+def test_cover_deck_maps_match_brute_force():
+    rng = np.random.default_rng(41)
+    checked = nontrivial = 0
+    for base in (graphs.heawood_graph(), graphs.rose_graph(2), graphs.cycle_graph(5)):
+        for k in range(1, 7):
+            for trial in range(4):
+                if trial % 2:
+                    voltage = _abelian_voltage(rng, base, k)
+                else:
+                    voltage = {e: tuple(int(i) for i in rng.permutation(k))
+                               for e in range(len(base.edges)) if rng.random() < 0.6}
+                    voltage = voltage or {0: tuple(range(k))}
+                try:
+                    cover = build_cover(base, voltage)
+                except DisconnectedCoverError:
+                    continue
+                assert cover.deck == brute_force_deck(base, voltage)
+                checked += 1
+                nontrivial += len(cover.deck) > 1
+    assert checked >= 40 and nontrivial >= 15
 
 
 def test_cover_measure_lifts_base_measure():
@@ -143,6 +203,7 @@ def test_cover_deck_action_random_voltages():
         except DisconnectedCoverError:
             continue
         cover.validate()
+        assert cover.deck == brute_force_deck(base, voltage)
         for phi in cover.deck:
             for w in cover.total.vertices:
                 assert cover.projection[phi[w]] == cover.projection[w]

@@ -12,7 +12,9 @@ from barylab.naturalmap import (
     NaturalMapConfig,
     assemble_tensors,
     cauchy_schwarz_gap,
+    deck_equivariance,
     entropy_volume_report,
+    gates,
     jacobian_formula,
     jacobian_mesh,
     mu_x_s,
@@ -20,10 +22,11 @@ from barylab.naturalmap import (
     pushforward_with_fibers,
     run_natural_map,
     s_grid,
+    worst_gates,
 )
 from barylab.transport import wasserstein1
 
-from oracles import loop_source_gradients
+from oracles import brute_force_deck, loop_source_gradients
 
 
 def tree_cfg(s, radius=8.0, tol=1e-2):
@@ -92,6 +95,7 @@ def test_mu_deck_equivariance_exact():
     voltage = {e: ((1, 2, 0) if e % 2 == 0 else (0, 1, 2)) for e in range(len(base.edges))}
     cover = build_cover(base, voltage)
     assert cover.deck, "fixture should have a nontrivial deck group"
+    assert cover.deck == brute_force_deck(base, voltage)
     phi = next(p for p in cover.deck if any(p[v] != v for v in cover.total.vertices))
     cfg = NaturalMapConfig(s=1.4, truncation_radius=7.0, h_estimate=0.9,
                            tail_tolerance=1.0)
@@ -164,6 +168,39 @@ def test_natural_map_deck_equivariance():
     fx, _ = natural_map_point(g, emb, x, cfg)
     fgx, _ = natural_map_point(g, emb, deck[x], cfg)
     assert hyp.dist(fgx.coords, hyp.project_to_sheet(rot @ fx.coords)) < 1e-6
+
+
+def test_gate_thresholds_are_the_acceptance_values():
+    # the one gate table: loosening a gate needs a visible edit here
+    g, emb, deck, rot = graphs.rotation_symmetric_net(
+        np.random.default_rng(14), order=4, n=3, radius=1.5, spacing=0.4)
+    cfg = NaturalMapConfig(s=2.6, truncation_radius=3.5, h_estimate=2.0,
+                           tail_tolerance=5.0)
+    x = g.vertices[0]
+    rec = run_natural_map(g, emb, cfg, [x]).records[0]
+    table = gates(rec, 2.0)
+    assert [(gate.name, gate.threshold) for gate in table] == [
+        ("trace_H", 1e-8), ("K_minus_ImH", -1e-8), ("det_B", 3**-3 * (1 + 1e-6)),
+        ("jac_formula", (2.6 / 2.0) ** 3 * (1 + 1e-6))]
+    assert [gate.value for gate in table] == [
+        abs(rec.trace_H - 1.0), rec.min_eig_K_minus_ImH, rec.det_B, rec.jac_formula]
+    assert all(gate.passed and gate.margin > 0 for gate in table)
+    equiv = deck_equivariance(g, emb, deck, rot, [x], cfg)
+    assert (equiv.name, equiv.threshold, equiv.passed) == ("deck_equivariance", 1e-6, True)
+    assert equiv.value < 1e-6
+    # a rotation that is not the deck action fails the gate
+    assert not deck_equivariance(g, emb, deck, np.eye(4), [x], cfg).passed
+    # just past a threshold fails, with a negative margin, and the summary
+    # keeps the least-margin entry of each gate
+    over = dataclasses.replace(rec, jac_formula=table[3].threshold * (1 + 1e-12))
+    bad = gates(over, 2.0)[3]
+    assert not bad.passed and bad.margin < 0
+    summary = worst_gates([table, gates(over, 2.0), [equiv]])
+    assert summary["jac_formula"] == {"threshold": bad.threshold, "worst": bad.value,
+                                      "margin": bad.margin, "passed": False}
+    assert summary["trace_H"]["passed"] and summary["deck_equivariance"]["passed"]
+    assert set(summary) == {"trace_H", "K_minus_ImH", "det_B", "jac_formula",
+                            "deck_equivariance"}
 
 
 def test_tensors_symmetric_star():
