@@ -111,9 +111,10 @@ def _dist_log(p, q, with_log):
     if not with_log:
         return d
     mu = -minkowski_dot(p, q)
-    # factor 1 where mu^2 - 1 rounds to 0: there d / sinh(d) is 1 to double precision
-    sinh_d = np.sqrt(np.maximum(mu * mu - 1.0, 0.0))
-    factor = np.where(sinh_d < 1e-300, 1.0, d / np.where(sinh_d < 1e-300, 1.0, sinh_d))
+    # d / sinh(d) from the chord distance (sqrt(mu^2 - 1) loses its digits
+    # where mu rounds to 1 + ulp); 1 where d is 0
+    tiny = d < 1e-300
+    factor = np.where(tiny, 1.0, d / np.sinh(np.where(tiny, 1.0, d)))
     return d, tangent_project(p, factor[..., None] * (q - mu[..., None] * p))
 
 

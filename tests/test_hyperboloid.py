@@ -137,6 +137,24 @@ def test_log_and_grad_at_tiny_separation():
             assert abs(math.sqrt(hyp.minkowski_dot(g, g)) - 1.0) <= 1e-6
 
 
+def test_log_keeps_its_digits_away_from_the_basepoint():
+    # away from the basepoint -<p,q>_M rounds to 1 + ulp rather than 1 at
+    # tiny d, where a factor d / sqrt(mu^2 - 1) is off by up to 2x
+    rng = np.random.default_rng(17)
+    for r in (0.7, 2.0, 3.0):
+        for _ in range(3):
+            p = hyp.random_point(rng, 3, r)
+            frame = hyp.tangent_frame(p)
+            for e in np.arange(2, 22) / 2:  # d = 10^-1 ... 10^-10.5
+                u = rng.normal(size=3) @ frame
+                q = hyp.exp(p, 10.0**-e * u / math.sqrt(hyp.minkowski_dot(u, u)))
+                dist = float(hyp.dist(p, q))
+                for v in (hyp.log(p, q), hyp.log_many(p, q[None])[0]):
+                    assert abs(math.sqrt(hyp.minkowski_dot(v, v)) / dist - 1.0) <= 1e-3
+                g = hyp.grad_dist(p, q)
+                assert abs(math.sqrt(hyp.minkowski_dot(g, g)) - 1.0) <= 1e-3
+
+
 def test_grad_degenerate_error():
     p = hyp.HPoint.origin(2)
     with pytest.raises(DegenerateGradientError):
