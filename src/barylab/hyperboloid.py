@@ -102,7 +102,7 @@ def _dist_log(p, q, with_log):
     q = np.asarray(q, dtype=float)
     diff = q - p
     chord_sq = minkowski_dot(diff, diff)
-    if np.any(chord_sq < -2.0 * TOL.ill_conditioned):
+    if (chord_sq < -2.0 * TOL.ill_conditioned).any():
         raise InvalidPointError(
             f"-<p,q>_M = {1.0 + 0.5 * float(np.min(chord_sq)):.12f} < 1; "
             "inputs are off the sheet"

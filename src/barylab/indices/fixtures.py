@@ -155,7 +155,6 @@ def cyclic_cover_subgroup(k: int):
     return gens
 
 
-# type -> (map, data): data holds invariants the input may declare instead
 _SPECS = {
     "torus_cover": lambda spec, rng: (
         torus_cover_map(spec.get("k", 2)),

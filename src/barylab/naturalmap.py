@@ -440,7 +440,8 @@ class PointRecord:
 
 
 class Gate(NamedTuple):
-    """An acceptance gate: a measured value against its threshold."""
+    """An acceptance gate: a measured value against its threshold.  The
+    margin is their distance, negative when the gate fails."""
 
     name: str
     value: float
@@ -449,7 +450,6 @@ class Gate(NamedTuple):
 
     @property
     def margin(self):
-        """Distance from the value to the threshold, negative on failure."""
         gap = abs(self.threshold - self.value)
         return gap if self.passed else -gap
 
