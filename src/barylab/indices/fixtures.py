@@ -171,7 +171,7 @@ def from_spec(spec, rng=None):
     """(map, data) for a JSON spec such as {"type": "torus_cover", "k": 3}:
     a SimplicialMap or PLMap, and the fixture's known invariants
     ("subgroup", "declared_ind_pi")."""
-    kind = spec.get("type")
+    kind = spec.get("type") if isinstance(spec, dict) else None
     if kind not in _SPECS:
-        raise ConfigurationError(f"unknown fixture type {kind!r}; expected one of {sorted(_SPECS)}")
+        raise ConfigurationError(f"unknown fixture {spec!r}; types are {sorted(_SPECS)}")
     return _SPECS[kind](spec, rng)

@@ -402,9 +402,9 @@ def _deck_transformations(base: MMGraph, perms: dict, k: int):
 
 
 def _lift(incident, root, t):
-    """The deck map sending (root, 0) to (root, t), carried along every
-    lifted edge (u, s) -> (v, p(s)) to (u, phi(s)) -> (v, p(phi(s))); None
-    when some vertex would get two images."""
+    """The deck map sending (root, 0) to (root, t), or None.  Where (u, s)
+    goes to (u, s'), the lifted edge (u, s) - (v, p(s)) must go to
+    (u, s') - (v, p(s')), which fixes the image of (v, p(s))."""
     phi = {(root, 0): (root, t)}
     stack = [(root, 0)]
     while stack:

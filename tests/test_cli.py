@@ -169,12 +169,15 @@ def test_indices_command_simplicial_fixtures(tmp_path, spec, expected):
 
 @pytest.mark.parametrize("spec", [{"type": "identity_pl", "m": 3},
                                   {"type": "jittered_pl", "m": 4},
-                                  {"type": "klein_bottle"}])
+                                  {"type": "klein_bottle"}, "torus_cover"])
 def test_indices_rejects_pl_and_unknown_fixtures(tmp_path, spec):
     ipath = tmp_path / "fixture.json"
     ipath.write_text(json.dumps({"fixture": spec}))
     code, out, _ = run_cli(["indices", str(ipath)], tmp_path)
     assert code == 2 and out == ""
+    if not isinstance(spec, dict) or spec["type"] == "klein_bottle":
+        code, out, _ = run_cli(["coarea", str(ipath)], tmp_path)
+        assert code == 2 and out == ""
 
 
 @pytest.mark.parametrize("kind", ["torus_cover", "sphere_double_wrap",
