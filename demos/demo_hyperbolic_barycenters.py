@@ -39,12 +39,12 @@ print(f"5 random restarts agree to {spread:.2e} (uniform convexity)")
 
 mu = DiscreteMeasure.from_points(
     np.array([hyp.random_point(rng, 3, 1.2) for _ in range(8)])).normalize()
-w1, _ = wasserstein1(mu, nu, metric=lambda a, b: float(hyp.dist(np.array(a), np.array(b))))
+w1, _ = wasserstein1(mu, nu, metric=lambda a, b: float(hyp.dist(a, b)))
 d_bary = hyp.dist(barycenter(mu).coords, res.coords)
 print(f"barycenters move by {d_bary:.4f} <= W1 distance {w1:.4f} (1-Lipschitz)")
 
 g = hyp.random_isometry(rng, 3)
-moved = nu.pushforward(lambda s: tuple(hyp.project_to_sheet(g @ np.array(s))))
+moved = nu.pushforward(lambda s: hyp.project_to_sheet(g @ s))
 dev = hyp.dist(barycenter(moved).coords, hyp.project_to_sheet(g @ res.coords))
 print(f"equivariance under a random isometry: deviation {dev:.2e}")
 

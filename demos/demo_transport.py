@@ -13,7 +13,7 @@ rng = np.random.default_rng(1)
 
 
 def metric(a, b):
-    return float(hyp.dist(np.array(a), np.array(b)))
+    return float(hyp.dist(a, b))
 
 
 print("== exact optimum via the transportation simplex ==")
@@ -39,7 +39,7 @@ t = 0.5
 
 
 def contract(site):
-    return tuple(hyp.exp(center, t * hyp.log(center, np.array(site))))
+    return hyp.exp(center, t * hyp.log(center, site))
 
 
 mu_n, nu_n = mu.normalize(), nu.normalize()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hyperboloid as hyp
-from .errors import EmptyMeasureError, SolverFailureError
+from .errors import EmptyMeasureError, InvalidPointError, SolverFailureError
 from .measures import DiscreteMeasure
 
 DEFAULT_TOL = 1e-9
@@ -47,9 +47,9 @@ class BarycenterResult:
 def _measure_points(nu: DiscreteMeasure):
     if nu.is_zero:
         raise EmptyMeasureError("barycenter of a zero measure")
-    pts = nu.points
-    w = nu.weights / nu.total_mass
-    return pts, w
+    if not isinstance(nu.sites, np.ndarray):
+        raise InvalidPointError("barycenter needs a measure on points of H^n, not vertex ids")
+    return nu.sites, nu.weights / nu.total_mass
 
 
 def objective(nu: DiscreteMeasure, y, basepoint=None):
@@ -70,8 +70,8 @@ def barycenter(nu: DiscreteMeasure, tol: float = DEFAULT_TOL,
 
     Parameters
     ----------
-    nu : measure whose sites are H^n coordinate tuples; zero-weight atoms
-        are dropped by construction.
+    nu : measure whose sites are points of H^n (a coordinate array);
+        zero-weight atoms are dropped by construction.
     tol : success threshold on the gradient norm of the mass-normalized
         objective (equivalently tol * mass for the unnormalized one).
     initial : optional starting coordinates; defaults to the Minkowski
@@ -145,7 +145,7 @@ def psi_homotopy(t: float, fx, sigma: DiscreteMeasure, tol: float = DEFAULT_TOL)
         raise ValueError("homotopy parameter must lie in [0, 1]")
     sigma = sigma.normalize()
     fx_coords = fx.coords if isinstance(fx, hyp.HPoint) else np.asarray(fx, dtype=float)
-    sites = [tuple(map(float, fx_coords))] + list(sigma.sites)
+    sites = np.vstack([fx_coords, sigma.sites])
     weights = np.concatenate([[t], (1.0 - t) * sigma.weights])
     mix = DiscreteMeasure(sites, weights)
     return barycenter(mix, tol=tol).point

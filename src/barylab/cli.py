@@ -112,21 +112,17 @@ def cmd_barycenter(args):
 def cmd_wasserstein(args):
     mu = load_measure(args.mu)
     nu = load_measure(args.nu)
+    if {isinstance(m.sites, np.ndarray) for m in (mu, nu)} != {not args.graph}:
+        raise ConfigurationError("wasserstein takes measures on vertex ids with --graph, "
+                                 "on points of H^n without")
     if args.graph:
         g = load_graph(args.graph)
         by_str = {str(v): v for v in g.vertices}
-        from_source = {}
-
-        def metric(a, b):
-            a = by_str.get(str(a), a)
-            if a not in from_source:
-                from_source[a] = g.dijkstra(a)
-            return from_source[a][by_str.get(str(b), b)]
+        targets = [g.index[by_str.get(str(b), b)] for b in nu.sites]
+        cost = np.array([g.distances(by_str.get(str(a), a))[targets] for a in mu.sites])
     else:
-        def metric(a, b):
-            return float(hyp.dist(np.array(a), np.array(b)))
-
-    value, plan = wasserstein1(mu, nu, metric=metric)
+        cost = hyp.dist(mu.sites[:, None], nu.sites[None])
+    value, plan = wasserstein1(mu, nu, cost=cost)
     config = {"command": "wasserstein", "mu": args.mu, "nu": args.nu,
               "graph": args.graph}
     out = os.path.join(args.out_dir, "plan.csv")
@@ -138,6 +134,8 @@ def cmd_wasserstein(args):
 
 
 def _build_naturalmap_fixture(spec, seed):
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"a naturalmap fixture is a JSON object, not {spec!r}")
     kind = spec.get("type", "rotation_net")
     shape = {"n": spec.get("dim", 3), "radius": spec.get("radius", 2.0),
              "spacing": spec.get("spacing", 0.3), "edge_factor": spec.get("edge_factor", 2.0)}

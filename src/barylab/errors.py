@@ -21,6 +21,10 @@ class SingularHessianError(BarylabError, ValueError):
     """Hessian of the distance requested at (numerically) coincident points."""
 
 
+class NonFiniteInputError(BarylabError, ValueError):
+    """A weight, coordinate, edge length or vertex measure is NaN or infinite."""
+
+
 class EmptyMeasureError(BarylabError, ValueError):
     """An operation requiring positive total mass received a zero measure."""
 

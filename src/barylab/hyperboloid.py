@@ -28,18 +28,11 @@ from .errors import (
 )
 
 
-@dataclass
-class Tolerances:
-    """Default validation tolerances; mutate the module-level ``TOL`` to override."""
-
-    sheet: float = 1e-10          # |<x,x>_M + 1| on points
-    tangency: float = 1e-10       # |<base,v>_M| on tangent vectors
-    isometry: float = 1e-9        # entrywise |L^T J L - J|
-    ill_conditioned: float = 1e-9  # -<p,q>_M may not drop below 1 - this
-    coincident: float = 1e-12     # points closer than this are "equal" for grad/hess
-
-
-TOL = Tolerances()
+SHEET_TOL = 1e-10            # |<x,x>_M + 1| on points
+TANGENCY_TOL = 1e-10         # |<base,v>_M| on tangent vectors
+ISOMETRY_TOL = 1e-9          # entrywise |L^T J L - J|
+ILL_CONDITIONED_TOL = 1e-9   # -<p,q>_M may not drop below 1 - this
+COINCIDENT_TOL = 1e-12       # points closer than this are "equal" for grad/hess
 
 
 # ---------------------------------------------------------------------------
@@ -57,19 +50,18 @@ def project_to_sheet(x):
     """Rescale onto the unit hyperboloid, flipping to the upper sheet."""
     x = np.asarray(x, dtype=float)
     nrm = -minkowski_dot(x, x)
-    if np.any(nrm <= 0):
+    if (nrm <= 0).any():
         raise InvalidPointError("coordinates are not timelike; cannot project to sheet")
     y = x / np.sqrt(nrm)[..., None]
     sign = np.where(y[..., 0] > 0, 1.0, -1.0)
     return y * sign[..., None]
 
 
-def check_point(x, tol=None):
+def check_point(x):
     """Validate the sheet constraint; returns the array unchanged."""
     x = np.asarray(x, dtype=float)
-    tol = TOL.sheet if tol is None else tol
     err = np.abs(minkowski_dot(x, x) + 1.0)
-    if np.any(err > tol) or np.any(x[..., 0] <= 0):
+    if (err > SHEET_TOL).any() or (x[..., 0] <= 0).any():
         raise InvalidPointError(
             f"point violates hyperboloid constraint (max error {float(np.max(err)):.3e})"
         )
@@ -96,13 +88,13 @@ def _dist_log(p, q, with_log):
     Shapes broadcast.  d = 2*asinh(|q-p|_M / 2) is exact on the hyperboloid
     and avoids the cancellation of acosh(-<p,q>_M) near zero.  On the sheet
     |q-p|_M^2 = 2(-<p,q>_M - 1), so the inputs are off the sheet when it
-    drops below -2 * TOL.ill_conditioned.
+    drops below -2 * ILL_CONDITIONED_TOL.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     diff = q - p
     chord_sq = minkowski_dot(diff, diff)
-    if (chord_sq < -2.0 * TOL.ill_conditioned).any():
+    if (chord_sq < -2.0 * ILL_CONDITIONED_TOL).any():
         raise InvalidPointError(
             f"-<p,q>_M = {1.0 + 0.5 * float(np.min(chord_sq)):.12f} < 1; "
             "inputs are off the sheet"
@@ -181,7 +173,7 @@ def tangent_frame(p):
 def grad_dist(y, z):
     """Unit tangent at y pointing away from z (the gradient of d(., z))."""
     d, v = _dist_log(y, z, True)
-    if d < TOL.coincident:
+    if d < COINCIDENT_TOL:
         raise DegenerateGradientError("gradient of distance undefined at coincident points")
     return -v / d
 
@@ -194,7 +186,7 @@ def hess_dist_matrix(y, z, frame=None):
     Returns (matrix, frame).
     """
     d, v = _dist_log(y, z, True)
-    if d < TOL.coincident:
+    if d < COINCIDENT_TOL:
         raise SingularHessianError("Hessian of distance singular at coincident points")
     if frame is None:
         frame = tangent_frame(np.asarray(y, dtype=float))
@@ -265,14 +257,13 @@ def rotation(theta, n, i=1, j=2):
     return m
 
 
-def check_isometry(matrix, tol=None):
+def check_isometry(matrix):
     """Validate L^T J L = J and upper-sheet preservation."""
     matrix = np.asarray(matrix, dtype=float)
-    tol = TOL.isometry if tol is None else tol
     n = matrix.shape[0] - 1
     J = _j_matrix(n)
     err = np.max(np.abs(matrix.T @ J @ matrix - J))
-    if err > tol:
+    if err > ISOMETRY_TOL:
         raise InvalidPointError(f"matrix does not preserve the Minkowski form (error {err:.3e})")
     if matrix[0, 0] <= 0:
         raise InvalidPointError("matrix swaps the hyperboloid sheets")
@@ -317,7 +308,7 @@ class HTangent:
 
     def __post_init__(self):
         vec = np.asarray(self.vec, dtype=float)
-        if abs(minkowski_dot(self.base.coords, vec)) > TOL.tangency:
+        if abs(minkowski_dot(self.base.coords, vec)) > TANGENCY_TOL:
             raise InvalidPointError("vector is not tangent to the hyperboloid at base")
         object.__setattr__(self, "vec", vec)
 

@@ -3,7 +3,8 @@
 Formats:
 
 - point: JSON array of n+1 reals; isometry: JSON array of rows.
-- measure: {"atoms": [{"site": <id or coords>, "w": <real>}]}.
+- measure: {"atoms": [{"site": <id or coords>, "w": <real>}]}; a site that
+  is an array is a point of H^n, a scalar is a vertex id.
 - graph: {"vertices": [...], "edges": [[u, v, len], ...], "measure": {v: w}}.
 - voltage: {"<edge index>": [one-line permutation]} (0- or 1-based).
 - simplicial map: {"domain": <complex>, "target": <complex>,
@@ -24,8 +25,12 @@ from .mmgraph import MMGraph
 
 
 def load_json(path):
+    """The JSON object in a file; any other JSON value is an input error."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, not {type(data).__name__}")
+    return data
 
 
 def load_graph(path) -> MMGraph:

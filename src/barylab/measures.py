@@ -1,8 +1,9 @@
-"""Finitely supported nonnegative measures on an arbitrary site set.
+"""Finitely supported nonnegative measures.
 
-Sites are hashable identifiers: graph vertex ids, or coordinate tuples for
-measures supported on H^n.  Duplicate sites are merged on construction by
-summing weights; exact-zero atoms are dropped, so the zero measure is the
+A measure on H^n keeps its sites as one (k, n+1) float array of points; a
+measure on a graph keeps a list of hashable vertex ids.  Duplicate sites
+are merged on construction by `group_atoms` (first appearance order,
+weights summed); exact-zero atoms are dropped, so the zero measure is the
 empty measure.
 """
 
@@ -12,46 +13,67 @@ import json
 
 import numpy as np
 
-from .errors import EmptyMeasureError
+from .errors import EmptyMeasureError, NonFiniteInputError
 
 
-def _freeze(site):
-    if isinstance(site, np.ndarray):
-        return tuple(float(c) for c in site)
-    if isinstance(site, list):
-        return tuple(site)
-    return site
+def group_atoms(keys, weights):
+    """Group atoms by hashable key in order of first appearance: the position
+    of each distinct key's first atom, the summed weight of each group (added
+    in atom order) and each atom's group label."""
+    first_of = {}
+    at = [first_of.setdefault(key, i) for i, key in enumerate(keys)]
+    first = np.fromiter(first_of.values(), dtype=np.intp, count=len(first_of))
+    labels = np.searchsorted(first, at)
+    return first, np.bincount(labels, weights), labels
+
+
+def _as_sites(items, point_type):
+    """`items` as the sites of one measure: a float array when every item is
+    a point (a `point_type`), the list itself when none is."""
+    kinds = {isinstance(s, point_type) for s in items}
+    if len(kinds) > 1:
+        raise ValueError("a measure's sites mix points and vertex ids")
+    return np.array(items, dtype=float) if True in kinds else items
 
 
 class DiscreteMeasure:
-    """An atomic measure: parallel lists of hashable sites and weights >= 0."""
+    """An atomic measure: sites and parallel weights >= 0.
+
+    `sites` is a (k, n+1) float array whose rows are points of H^n, or a
+    list of hashable vertex ids.  A point's row tuple is its merge key.
+    """
 
     __slots__ = ("sites", "weights")
 
     def __init__(self, sites, weights):
+        points = isinstance(sites, np.ndarray)
+        if points:
+            sites = sites.astype(float, copy=False)
+            if sites.ndim != 2:
+                raise ValueError("point sites must be one (k, n+1) array")
         weights = np.asarray(weights, dtype=float)
-        if len(sites) != weights.shape[0]:
+        if weights.shape != (len(sites),):
             raise ValueError("sites and weights length mismatch")
-        if np.any(weights < 0):
+        if not (np.isfinite(weights).all() and (not points or np.isfinite(sites).all())):
+            raise NonFiniteInputError("measure weights and point coordinates must be finite")
+        if (weights < 0).any():
             raise ValueError("negative weight in measure")
-        merged: dict = {}
-        for key, w in zip(map(_freeze, sites), weights.tolist()):
-            merged[key] = merged.get(key, 0.0) + w
-        items = [(s, w) for s, w in merged.items() if w != 0.0]
-        self.sites = [s for s, _ in items]
-        self.weights = np.array([w for _, w in items], dtype=float)
+        first, weights, _ = group_atoms(map(tuple, sites.tolist()) if points else sites, weights)
+        keep = weights != 0.0
+        self.weights = weights[keep]
+        self.sites = sites[first[keep]] if points else [sites[i] for i in first[keep].tolist()]
 
     @classmethod
     def dirac(cls, site, mass=1.0):
-        return cls([site], np.array([mass]))
+        return cls(_as_sites([site], np.ndarray), np.array([mass]))
 
     @classmethod
     def from_points(cls, points, weights=None):
-        """Measure on rows of a coordinate array; sites become tuples."""
+        """Measure on the rows of a coordinate array."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if weights is None:
             weights = np.ones(points.shape[0])
-        return cls(list(map(tuple, points.tolist())), weights)
+        return cls(points, weights)
 
     @property
     def total_mass(self):
@@ -60,11 +82,6 @@ class DiscreteMeasure:
     @property
     def is_zero(self):
         return len(self.sites) == 0
-
-    @property
-    def points(self):
-        """Site coordinates as an array; only valid for coordinate-tuple sites."""
-        return np.array(self.sites, dtype=float)
 
     def __len__(self):
         return len(self.sites)
@@ -78,30 +95,35 @@ class DiscreteMeasure:
         if m <= 0:
             raise EmptyMeasureError("cannot normalize a zero measure")
         out = DiscreteMeasure.__new__(DiscreteMeasure)
-        out.sites = list(self.sites)
+        out.sites = self.sites.copy()
         out.weights = self.weights / m
         return out
 
     def pushforward(self, f):
-        """Image measure under a site map; identically mapped atoms merge."""
+        """Image measure under a site map; identically mapped atoms merge.
+
+        Images that are numpy arrays are points, anything else a vertex id.
+        """
         images = []
         for s in self.sites:
             try:
-                images.append(_freeze(f(s)))
+                images.append(f(s))
             except (KeyError, IndexError) as exc:
                 raise KeyError(f"site map undefined on atom {s!r}") from exc
-        return DiscreteMeasure(images, self.weights.copy())
+        return DiscreteMeasure(_as_sites(images, np.ndarray), self.weights.copy())
 
     def to_json(self):
-        atoms = [
-            {"site": list(s) if isinstance(s, tuple) else s, "w": float(w)}
-            for s, w in zip(self.sites, self.weights)
-        ]
+        sites = self.sites.tolist() if isinstance(self.sites, np.ndarray) else self.sites
+        atoms = [{"site": s, "w": w} for s, w in zip(sites, self.weights.tolist())]
         return json.dumps({"atoms": atoms})
 
     @classmethod
     def from_json(cls, text):
+        """Measure from {"atoms": [{"site": ..., "w": ...}]}: a site that is
+        a JSON array is a point, a scalar is a vertex id."""
         data = json.loads(text)
-        sites = [_freeze(a["site"]) for a in data["atoms"]]
+        if not isinstance(data, dict):
+            raise ValueError(f"a measure is a JSON object, not {type(data).__name__}")
+        sites = _as_sites([a["site"] for a in data["atoms"]], list)
         weights = np.array([a["w"] for a in data["atoms"]], dtype=float)
         return cls(sites, weights)

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DisconnectedCoverError,
     GraphLookupError,
+    NonFiniteInputError,
     WindowSaturationError,
 )
 
@@ -90,10 +91,14 @@ class MMGraph:
         self._indptr, order = _csr(self.n, tails)
         self._target = np.asarray(heads, dtype=np.int64)[order]
         self._length = np.asarray(lengths, dtype=float)[order]
+        if not np.isfinite(self._length).all():
+            raise NonFiniteInputError("edge lengths must be finite")
         if measure is None:
             measure = {v: 1.0 for v in self.vertices}
         self.measure = {v: float(measure.get(v, 0.0)) for v in self.vertices}
         self._measure_arr = np.array([self.measure[v] for v in self.vertices])
+        if not np.isfinite(self._measure_arr).all():
+            raise NonFiniteInputError("vertex measures must be finite")
         if np.any(self._measure_arr < 0):
             raise ValueError("vertex measures must be nonnegative")
         if self.total_measure <= 0:
@@ -174,6 +179,8 @@ class MMGraph:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"a graph is a JSON object, not {type(data).__name__}")
         vertices = data["vertices"]
         by_str = {str(v): v for v in vertices}
         measure = {by_str[k]: w for k, w in data.get("measure", {}).items()}

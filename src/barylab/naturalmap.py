@@ -50,7 +50,7 @@ from .errors import (
     RankDeficiencyError,
     TruncationError,
 )
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, group_atoms
 from .mmgraph import MMGraph
 
 
@@ -175,10 +175,8 @@ def pushforward_with_fibers(weights, images):
     Returns the distinct rows in order of first appearance (the sites), their
     summed weights, and each atom's site label (its fiber).
     """
-    _, first, inverse = np.unique(images, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    labels = np.argsort(order)[inverse]
-    return images[first[order]], np.bincount(labels, weights), labels
+    first, summed, labels = group_atoms(map(tuple, images.tolist()), weights)
+    return images[first], summed, labels
 
 
 def _pushforward_barycenter(cover: MMGraph, images, x, cfg: NaturalMapConfig, dists):
@@ -297,7 +295,7 @@ def assemble_tensors(cover: MMGraph, f_tilde, x, cfg: NaturalMapConfig,
     info = _pushforward_barycenter(cover, images, x, cfg, dists)
     y = info["solver"].coords
 
-    Z, weights = info["sigma"].points, info["sigma"].weights
+    Z, weights = info["sigma"].sites, info["sigma"].weights
     rho = hyp.dist_many(y, Z)
     keep = rho >= EXCLUSION_THRESHOLD
     excluded = float(np.sum(weights[~keep]))

@@ -27,7 +27,7 @@ def grid_barycenter_objective(nu, resolution=2e-4):
     `resolution`.  Returns (best objective value, best point coords).
     Independent of the gradient-descent solver: pure evaluation.
     """
-    pts = nu.points
+    pts = nu.sites
     w = nu.weights
     center = pts[0]
     R = float(np.max(hyp.dist_many(center, pts))) + 1e-6
@@ -154,7 +154,7 @@ def loop_source_gradients(g, x, mu, emb, dim):
 
     Distances are heap-Dijkstra dicts; the one-ring chart Gram matrix is
     filled pair by pair; the mu atoms are grouped into fibers by image
-    tuple in order of first appearance.  Returns (site tuples, G).
+    tuple in order of first appearance.  Returns (site array, G).
     """
     d_x = heap_dijkstra(g, x)
     ring = {u: heap_dijkstra(g, u) for u, _ in g.neighbors(x) if u != x}
@@ -180,7 +180,7 @@ def loop_source_gradients(g, x, mu, emb, dim):
         w = mu.weights[members]
         grad = w @ G[members] / np.sum(w)
         out.append(grad / max(np.linalg.norm(grad), 1.0))
-    return list(fibers), np.array(out)
+    return np.array(list(fibers)), np.array(out)
 
 
 def scalar_rotation_net(rng, order=4, n=3, radius=2.0, spacing=0.35,

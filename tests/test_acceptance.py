@@ -122,7 +122,7 @@ def test_acceptance_3_equivariance():
         g = hyp.random_isometry(rng, 3)
 
         def act(site):
-            return tuple(hyp.project_to_sheet(g @ np.array(site)))
+            return hyp.project_to_sheet(g @ site)
 
         lhs = barycenter(nu.pushforward(act)).coords
         rhs = hyp.project_to_sheet(g @ barycenter(nu).coords)

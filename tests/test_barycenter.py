@@ -5,7 +5,7 @@ import pytest
 
 from barylab import hyperboloid as hyp
 from barylab.barycenter import BarycenterResult, barycenter, objective, psi_homotopy
-from barylab.errors import EmptyMeasureError, SolverFailureError
+from barylab.errors import EmptyMeasureError, InvalidPointError, SolverFailureError
 from barylab.measures import DiscreteMeasure
 from barylab.transport import wasserstein1
 
@@ -101,7 +101,7 @@ def test_equivariance_under_isometries():
         g = hyp.random_isometry(rng, 3)
 
         def act(site):
-            return tuple(hyp.project_to_sheet(g @ np.array(site)))
+            return hyp.project_to_sheet(g @ site)
 
         lhs = barycenter(nu.pushforward(act)).coords
         rhs = hyp.project_to_sheet(g @ barycenter(nu).coords)
@@ -131,6 +131,11 @@ def test_zero_measure_rejected():
         barycenter(DiscreteMeasure([], []))
 
 
+def test_measure_on_vertex_ids_rejected():
+    with pytest.raises(InvalidPointError):
+        barycenter(DiscreteMeasure([0, 1], [0.5, 0.5]))
+
+
 def test_solver_failure_attaches_best_iterate():
     nu = random_measure(RNG, 12, radius=2.0)
     with pytest.raises(SolverFailureError) as exc_info:
@@ -155,7 +160,7 @@ def test_psi_homotopy_continuity():
     sigma = random_measure(rng, 6).normalize()
     fx = hyp.HPoint(hyp.random_point(rng, 3, 1.0))
     # W1(mix(t), mix(t')) <= |t - t'| * mean distance from fx to sigma
-    spread = float(np.sum(sigma.weights * hyp.dist_many(fx.coords, sigma.points)))
+    spread = float(np.sum(sigma.weights * hyp.dist_many(fx.coords, sigma.sites)))
     steps = np.linspace(0.0, 1.0, 65)
     prev = psi_homotopy(steps[0], fx, sigma)
     for t in steps[1:]:

@@ -112,13 +112,13 @@ def test_wasserstein_graph_metric_one_dijkstra_per_source(tmp_path, monkeypatch)
         atoms = [{"site": site, "w": float(w)} for site, w in zip(m.sites, m.weights)]
         (tmp_path / f"{name}.json").write_text(json.dumps({"atoms": atoms}))
     sources = []
-    dijkstra = MMGraph.dijkstra
+    distances = MMGraph.distances
 
     def counting(self, source, cutoff=None):
         sources.append(source)
-        return dijkstra(self, source, cutoff=cutoff)
+        return distances(self, source, cutoff=cutoff)
 
-    monkeypatch.setattr(MMGraph, "dijkstra", counting)
+    monkeypatch.setattr(MMGraph, "distances", counting)
     code, out, _ = run_cli(
         ["wasserstein", str(tmp_path / "mu.json"), str(tmp_path / "nu.json"),
          "--graph", str(tmp_path / "g.json")], tmp_path)
@@ -126,6 +126,58 @@ def test_wasserstein_graph_metric_one_dijkstra_per_source(tmp_path, monkeypatch)
     assert sorted(sources) == [0, 3, 9]
     cost = [[heap_dijkstra(g, a)[b] for b in nu.sites] for a in mu.sites]
     assert abs(json.loads(out)["w1"] - brute_force_w1(mu, nu, cost)) < 1e-12
+
+
+def test_wasserstein_cost_is_the_per_pair_distance(tmp_path, monkeypatch):
+    import barylab.cli
+
+    rng = np.random.default_rng(2)
+    sides = [np.array([hyp.random_point(rng, 3, 1.5) for _ in range(k)]) for k in (6, 5)]
+    for name, pts in zip(("mu", "nu"), sides):
+        (tmp_path / f"{name}.json").write_text(
+            DiscreteMeasure.from_points(pts).normalize().to_json())
+    seen = {}
+    solve = barylab.cli.wasserstein1
+
+    def capture(mu, nu, cost):
+        seen["cost"] = cost
+        return solve(mu, nu, cost=cost)
+
+    monkeypatch.setattr(barylab.cli, "wasserstein1", capture)
+    code, _, _ = run_cli(
+        ["wasserstein", str(tmp_path / "mu.json"), str(tmp_path / "nu.json")], tmp_path)
+    assert code == 0
+    loop = np.array([[hyp.dist(p, q) for q in sides[1]] for p in sides[0]])
+    assert seen["cost"].shape == loop.shape
+    assert (seen["cost"] == loop).all()
+
+
+@pytest.mark.parametrize("argv, text", [
+    pytest.param(["barycenter", "IN"], "[1, 2]", id="barycenter-array"),
+    pytest.param(["naturalmap", "IN"], "[1, 2]", id="naturalmap-array"),
+    pytest.param(["naturalmap", "IN"], '{"fixture": "rotation_net"}', id="naturalmap-fixture-string"),
+    pytest.param(["coarea", "IN"], "[1, 2]", id="coarea-array"),
+    pytest.param(["indices", "IN"], "[1, 2]", id="indices-array"),
+    pytest.param(["entropy", "IN", "--rmin", "1", "--rmax", "2"], "[1, 2]", id="entropy-array"),
+    pytest.param(["entropy", "IN", "--rmin", "1", "--rmax", "2"],
+                 '{"vertices": [0, 1], "edges": [[0, 1, NaN]]}', id="graph-nan-length"),
+    pytest.param(["barycenter", "IN"], '{"atoms": [{"site": [1, 0, 0], "w": NaN}]}',
+                 id="measure-nan-weight"),
+    pytest.param(["barycenter", "IN"], '{"atoms": [{"site": [Infinity, 0, 0], "w": 1}]}',
+                 id="measure-inf-coordinate"),
+    pytest.param(["barycenter", "IN"],
+                 '{"atoms": [{"site": [1, 0, 0], "w": 1}, {"site": 3, "w": 1}]}',
+                 id="measure-mixes-points-and-ids"),
+    pytest.param(["barycenter", "IN"], '{"atoms": [{"site": 3, "w": 1}, {"site": 4, "w": 1}]}',
+                 id="barycenter-on-vertex-ids"),
+    pytest.param(["wasserstein", "IN", "IN"], '{"atoms": [{"site": 3, "w": 1}]}',
+                 id="wasserstein-ids-without-graph"),
+])
+def test_malformed_input_exit_code(argv, text, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, _, _ = run_cli([str(path) if a == "IN" else a for a in argv], tmp_path)
+    assert code == 2
 
 
 def test_bcg_command_and_rejection(tmp_path):

@@ -8,6 +8,7 @@ from barylab import graphs, hyperboloid as hyp
 from barylab.errors import (
     DisconnectedCoverError,
     GraphLookupError,
+    NonFiniteInputError,
     WindowSaturationError,
 )
 from barylab.mmgraph import (
@@ -275,6 +276,11 @@ def test_graph_validation_errors():
         MMGraph([0, 1], [])  # disconnected
     with pytest.raises(GraphLookupError):
         MMGraph([0], [(0, 1, 1.0)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(NonFiniteInputError):
+            MMGraph([0, 1], [(0, 1, bad)])
+        with pytest.raises(NonFiniteInputError):
+            MMGraph([0, 1], [(0, 1, 1.0)], {0: 1.0, 1: bad})
 
 
 def test_ball_net_connected_and_embedded():

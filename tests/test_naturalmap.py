@@ -136,7 +136,7 @@ def test_source_gradients_match_the_per_fiber_loop():
     G = source_gradients(g, center, g.distances(center), _ring_rows(g, center),
                          info["atoms"], info["mu"].weights, info["labels"], 3)
     sites, G_loop = loop_source_gradients(g, center, info["mu"], folded, 3)
-    assert info["sigma"].sites == sites
+    assert np.array_equal(info["sigma"].sites, sites)
     assert np.max(np.abs(G - G_loop)) <= 1e-12
 
 

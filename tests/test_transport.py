@@ -1,10 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from barylab import hyperboloid as hyp
-from barylab.errors import EmptyMeasureError, UnbalancedMeasuresError
+from barylab.errors import EmptyMeasureError, NonFiniteInputError, UnbalancedMeasuresError
 from barylab.measures import DiscreteMeasure
 from barylab.transport import brute_force_w1, wasserstein1
 
@@ -109,6 +110,19 @@ def test_pushforward_identity_and_constant():
     assert const.total_mass == pytest.approx(mu.total_mass)
 
 
+def test_pushforward_keeps_points_as_arrays_and_ids_as_lists():
+    mu = random_point_measure(RNG, 5)
+    moved = mu.pushforward(lambda s: 2.0 * s)
+    assert isinstance(moved.sites, np.ndarray)
+    assert moved.sites.tolist() == (2.0 * mu.sites).tolist()
+    first = mu.sites[0]
+    labels = mu.pushforward(lambda s: "first" if (s == first).all() else "other")
+    assert labels.sites == ["first", "other"]
+    assert labels.weights.tolist() == [mu.weights[0], sum(mu.weights[1:].tolist())]
+    with pytest.raises(ValueError):
+        mu.pushforward(lambda s: s if (s == first).all() else "other")
+
+
 def test_pushforward_contraction_bound():
     # W1(f#mu, f#nu) <= C * W1(mu, nu) for the Lipschitz bound C of f on the support
     for trial in range(1000):
@@ -149,16 +163,34 @@ def test_normalize():
         DiscreteMeasure([], []).normalize()
 
 
+def test_non_finite_weights_and_coordinates_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(NonFiniteInputError):
+            DiscreteMeasure(["a", "b"], [1.0, bad])
+        with pytest.raises(NonFiniteInputError):
+            DiscreteMeasure.from_points([[1.0, 0.0, 0.0], [bad, 0.0, 1.0]])
+
+
 def test_duplicate_sites_merge():
     mu = DiscreteMeasure(["a", "a", "b"], np.array([1.0, 2.0, 3.0]))
     assert len(mu) == 2
     assert dict(zip(mu.sites, mu.weights)) == {"a": 3.0, "b": 3.0}
+    # point rows A, B, A, C, B, zero-weight D, and B again with -0.0 for 0.0;
+    # sorted order would put B first
+    a, b, c, d = [1.5, 0.0, 2.0], [1.0, 0.0, 0.0], [2.0, 1.0, 1.0], [3.0, 2.0, 2.0]
+    rows = np.array([a, b, a, c, b, d, [1.0, -0.0, 0.0]])
+    w = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.0, 0.7])
+    mu = DiscreteMeasure(rows, w)
+    assert isinstance(mu.sites, np.ndarray)
+    assert mu.sites.tolist() == [a, b, c]
+    assert mu.weights.tolist() == [0.0 + 0.1 + 0.3, 0.0 + 0.2 + 0.5 + 0.7, 0.0 + 0.4]
 
 
 def test_measure_json_roundtrip():
     mu = random_point_measure(RNG, 4)
     back = DiscreteMeasure.from_json(mu.to_json())
-    assert back.sites == mu.sites
+    assert isinstance(back.sites, np.ndarray)
+    assert back.sites.tolist() == mu.sites.tolist()
     assert np.allclose(back.weights, mu.weights)
     ids = DiscreteMeasure(["u", "v"], np.array([1.0, 2.0]))
     back = DiscreteMeasure.from_json(ids.to_json())
