@@ -50,9 +50,9 @@ print(f"equivariance under a random isometry: deviation {dev:.2e}")
 
 print()
 print("== the barycentric homotopy ==")
-fx = hyp.HPoint(hyp.random_point(rng, 3, 1.0))
+fx = hyp.random_point(rng, 3, 1.0)
 for t in (0.0, 0.25, 0.5, 0.75, 1.0):
     pt = psi_homotopy(t, fx, nu)
     print(f"  t = {t:4.2f}: distance to the t=1 endpoint"
-          f" {hyp.dist(pt.coords, fx.coords):.4f}")
+          f" {hyp.dist(pt, fx):.4f}")
 print("t=0 is the plain barycenter, t=1 is the map value itself")

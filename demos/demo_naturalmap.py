@@ -60,7 +60,7 @@ print("deck equivariance of the pipeline:")
 x = samples[0]
 fx, _ = natural_map_point(g, emb, x, cfg)
 fgx, _ = natural_map_point(g, emb, deck[x], cfg)
-dev = hyp.dist(fgx.coords, hyp.project_to_sheet(rot @ fx.coords))
+dev = hyp.dist(fgx, hyp.project_to_sheet(rot @ fx))
 print(f"  F_s(deck x) vs rot F_s(x): deviation {float(dev):.2e}")
 
 print()

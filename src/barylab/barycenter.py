@@ -27,21 +27,18 @@ ARMIJO_C1 = 1e-4
 
 @dataclass(frozen=True)
 class BarycenterResult:
-    """Solver output: the mean, gradient norm at exit, and diagnostics.
+    """Solver output: the mean's coordinates, gradient norm at exit, and
+    diagnostics.
 
     `gradient_norm` and `objective` refer to the unnormalized functional
     integral of d(y, .)^2 against the input measure; on success
     gradient_norm <= tol * total_mass.
     """
 
-    point: hyp.HPoint
+    coords: np.ndarray
     gradient_norm: float
     iterations: int
     objective: float
-
-    @property
-    def coords(self):
-        return self.point.coords
 
 
 def _measure_points(nu: DiscreteMeasure):
@@ -80,8 +77,7 @@ def barycenter(nu: DiscreteMeasure, tol: float = DEFAULT_TOL,
     pts, w = _measure_points(nu)
     mass = nu.total_mass
     if len(pts) == 1:
-        p = hyp.HPoint(pts[0])
-        return BarycenterResult(p, 0.0, 0, 0.0)
+        return BarycenterResult(pts[0], 0.0, 0, 0.0)
 
     if initial is None:
         y = hyp.project_to_sheet(w @ pts)
@@ -99,7 +95,7 @@ def barycenter(nu: DiscreteMeasure, tol: float = DEFAULT_TOL,
         vnorm = math.sqrt(max(hyp.minkowski_dot(v, v), 0.0))
         grad_norm = 2.0 * vnorm
         if grad_norm <= tol:
-            return BarycenterResult(hyp.HPoint(y), grad_norm * mass, it - 1, f(y) * mass)
+            return BarycenterResult(y, grad_norm * mass, it - 1, f(y) * mass)
         t = min(1.0, STEP_CAP / vnorm)
         decrease = 2.0 * vnorm * vnorm  # = -<grad, v>
         if decrease <= 1e-13 * max(1.0, abs(fy)):
@@ -125,17 +121,17 @@ def barycenter(nu: DiscreteMeasure, tol: float = DEFAULT_TOL,
     v = w @ logs
     grad_norm = 2.0 * math.sqrt(max(hyp.minkowski_dot(v, v), 0.0))
     if grad_norm <= tol:
-        return BarycenterResult(hyp.HPoint(y), grad_norm * mass, max_iter, f(y) * mass)
+        return BarycenterResult(y, grad_norm * mass, max_iter, f(y) * mass)
     raise SolverFailureError(
         f"barycenter solver stalled at gradient norm {grad_norm:.3e} (tol {tol:.3e})",
-        best=BarycenterResult(hyp.HPoint(y), grad_norm * mass, max_iter, f(y) * mass),
+        best=BarycenterResult(y, grad_norm * mass, max_iter, f(y) * mass),
         gradient_norm=grad_norm,
         iterations=max_iter,
     )
 
 
 def psi_homotopy(t: float, fx, sigma: DiscreteMeasure, tol: float = DEFAULT_TOL):
-    """Barycenter of the mixture t*delta(fx) + (1-t)*sigma.
+    """Coordinates of the barycenter of the mixture t*delta(fx) + (1-t)*sigma.
 
     At t=1 this is fx itself, at t=0 the barycenter of sigma, and it moves
     continuously in t: the mixture is (|t-t'| * W1(delta_fx, sigma))-close
@@ -144,8 +140,7 @@ def psi_homotopy(t: float, fx, sigma: DiscreteMeasure, tol: float = DEFAULT_TOL)
     if not 0.0 <= t <= 1.0:
         raise ValueError("homotopy parameter must lie in [0, 1]")
     sigma = sigma.normalize()
-    fx_coords = fx.coords if isinstance(fx, hyp.HPoint) else np.asarray(fx, dtype=float)
-    sites = np.vstack([fx_coords, sigma.sites])
+    sites = np.vstack([fx, sigma.sites])
     weights = np.concatenate([[t], (1.0 - t) * sigma.weights])
     mix = DiscreteMeasure(sites, weights)
-    return barycenter(mix, tol=tol).point
+    return barycenter(mix, tol=tol).coords

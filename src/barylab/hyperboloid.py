@@ -1,23 +1,23 @@
 """Real hyperbolic space H^n in the hyperboloid (Lorentz) model.
 
-Points live on the upper sheet of {x : <x,x>_M = -1} in Minkowski space
-R^{n,1} with signature (-,+,...,+).  Distances, geodesics, exponential and
-logarithm maps, the gradient and Hessian of the distance function, and
-Lorentz isometries are all closed-form; every operation re-projects its
-output so the sheet constraint drifts by less than ~1e-15 per call.
+A point of H^n is an (n+1,) float array on the upper sheet of
+{x : <x,x>_M = -1} in Minkowski space R^{n,1} with signature (-,+,...,+);
+a tangent vector at p is an (n+1,) array Minkowski-orthogonal to p, and a
+Lorentz isometry an (n+1, n+1) matrix acting on points by `g @ p`.
+Functions take and return such arrays and broadcast over leading axes
+where noted.  Distances, geodesics, exponential and logarithm maps and the
+gradient and Hessian of the distance function are closed-form; every
+operation re-projects its output so the sheet constraint drifts by less
+than ~1e-15 per call.  `check_point` validates points that enter from
+outside (JSON measures and embeddings).
 
 The dimension n >= 2 is a runtime parameter (the length of a coordinate
-vector is n+1).  Two API levels are provided: typed wrappers (`HPoint`,
-`HTangent`, `HIsometry`) that validate their invariants on construction,
-and raw ``numpy`` functions operating on coordinate arrays, used by the
-inner loops of the barycenter and natural-map pipelines.
+vector is n+1).
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,15 +29,9 @@ from .errors import (
 
 
 SHEET_TOL = 1e-10            # |<x,x>_M + 1| on points
-TANGENCY_TOL = 1e-10         # |<base,v>_M| on tangent vectors
-ISOMETRY_TOL = 1e-9          # entrywise |L^T J L - J|
 ILL_CONDITIONED_TOL = 1e-9   # -<p,q>_M may not drop below 1 - this
 COINCIDENT_TOL = 1e-12       # points closer than this are "equal" for grad/hess
 
-
-# ---------------------------------------------------------------------------
-# raw array layer
-# ---------------------------------------------------------------------------
 
 def minkowski_dot(u, v):
     """Minkowski inner product -u0*v0 + sum_i ui*vi (broadcasts over rows)."""
@@ -58,10 +52,13 @@ def project_to_sheet(x):
 
 
 def check_point(x):
-    """Validate the sheet constraint; returns the array unchanged."""
+    """Validate point(s) on the last axis: |<x,x>_M + 1| <= SHEET_TOL and
+    x0 > 0, so NaN and empty coordinate vectors fail.  Returns the array."""
     x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise InvalidPointError("a point of H^n needs n+1 coordinates, not none")
     err = np.abs(minkowski_dot(x, x) + 1.0)
-    if (err > SHEET_TOL).any() or (x[..., 0] <= 0).any():
+    if not ((err <= SHEET_TOL).all() and (x[..., 0] > 0).all()):
         raise InvalidPointError(
             f"point violates hyperboloid constraint (max error {float(np.max(err)):.3e})"
         )
@@ -255,113 +252,3 @@ def rotation(theta, n, i=1, j=2):
     m[i, j] = -math.sin(theta)
     m[j, i] = math.sin(theta)
     return m
-
-
-def check_isometry(matrix):
-    """Validate L^T J L = J and upper-sheet preservation."""
-    matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0] - 1
-    J = _j_matrix(n)
-    err = np.max(np.abs(matrix.T @ J @ matrix - J))
-    if err > ISOMETRY_TOL:
-        raise InvalidPointError(f"matrix does not preserve the Minkowski form (error {err:.3e})")
-    if matrix[0, 0] <= 0:
-        raise InvalidPointError("matrix swaps the hyperboloid sheets")
-    return matrix
-
-
-# ---------------------------------------------------------------------------
-# typed layer
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HPoint:
-    """A point of H^n; `coords` are the n+1 Minkowski coordinates."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", check_point(np.asarray(self.coords, dtype=float)))
-
-    @property
-    def n(self):
-        return self.coords.shape[0] - 1
-
-    @classmethod
-    def origin(cls, n):
-        return cls(basepoint(n))
-
-    def to_json(self):
-        return json.dumps(self.coords.tolist())
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(np.array(json.loads(text), dtype=float))
-
-
-@dataclass(frozen=True)
-class HTangent:
-    """A tangent vector `vec` at `base`, Minkowski-orthogonal to it."""
-
-    base: HPoint
-    vec: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.vec, dtype=float)
-        if abs(minkowski_dot(self.base.coords, vec)) > TANGENCY_TOL:
-            raise InvalidPointError("vector is not tangent to the hyperboloid at base")
-        object.__setattr__(self, "vec", vec)
-
-    @property
-    def norm(self):
-        return math.sqrt(max(minkowski_dot(self.vec, self.vec), 0.0))
-
-
-@dataclass(frozen=True)
-class HIsometry:
-    """A Lorentz matrix preserving the Minkowski form and the upper sheet."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", check_isometry(np.asarray(self.matrix, dtype=float)))
-
-    def to_json(self):
-        return json.dumps(self.matrix.tolist())
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(np.array(json.loads(text), dtype=float))
-
-    def __matmul__(self, other):
-        return HIsometry(self.matrix @ other.matrix)
-
-
-def distance(p: HPoint, q: HPoint) -> float:
-    """Geodesic distance between two points."""
-    return float(dist(p.coords, q.coords))
-
-
-def exp_map(v: HTangent) -> HPoint:
-    """Endpoint of the geodesic with initial data v."""
-    return HPoint(exp(v.base.coords, v.vec))
-
-
-def log_map(p: HPoint, q: HPoint) -> HTangent:
-    """Initial velocity of the geodesic from p to q."""
-    return HTangent(p, log(p.coords, q.coords))
-
-
-def grad_distance(y: HPoint, z: HPoint) -> HTangent:
-    """Unit gradient of d(., z) at y; points away from z."""
-    return HTangent(y, grad_dist(y.coords, z.coords))
-
-
-def hess_distance(y: HPoint, z: HPoint, frame=None):
-    """Hessian of d(., z) at y; see `hess_dist_matrix`."""
-    return hess_dist_matrix(y.coords, z.coords, frame=frame)
-
-
-def apply_isometry(g: HIsometry, p: HPoint) -> HPoint:
-    """Image of p under the isometry, re-projected to the sheet."""
-    return HPoint(project_to_sheet(g.matrix @ p.coords))

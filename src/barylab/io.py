@@ -2,15 +2,18 @@
 
 Formats:
 
-- point: JSON array of n+1 reals; isometry: JSON array of rows.
 - measure: {"atoms": [{"site": <id or coords>, "w": <real>}]}; a site that
   is an array is a point of H^n, a scalar is a vertex id.
 - graph: {"vertices": [...], "edges": [[u, v, len], ...], "measure": {v: w}}.
-- voltage: {"<edge index>": [one-line permutation]} (0- or 1-based).
+- embedding: {str(vertex): coords}, parallel to a graph.
 - simplicial map: {"domain": <complex>, "target": <complex>,
   "vertex_map": {str(v): image}} with complex
   {"dim": n, "simplices": [[v, ...], ...], "charts": [...]} (charts optional).
 - subgroup: {"rank": r, "generators": ["abA", ...]}.
+
+Points of H^n (measure sites and embedding rows) must lie on the upper
+sheet: |<x,x>_M + 1| <= hyperboloid.SHEET_TOL and x0 > 0, else
+InvalidPointError.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import json
 
 import numpy as np
 
+from . import hyperboloid as hyp
 from .indices.simplicial import Pseudomanifold, SimplicialMap
 from .measures import DiscreteMeasure
 from .mmgraph import MMGraph
@@ -41,18 +45,6 @@ def load_graph(path) -> MMGraph:
 def load_measure(path) -> DiscreteMeasure:
     with open(path, "r", encoding="utf-8") as fh:
         return DiscreteMeasure.from_json(fh.read())
-
-
-def load_voltage(data):
-    """Voltage dict from parsed JSON; accepts 0- or 1-based permutations."""
-    out = {}
-    for key, perm in data.items():
-        perm = list(perm)
-        base = min(perm)
-        if base == 1:
-            perm = [p - 1 for p in perm]
-        out[int(key)] = tuple(perm)
-    return out
 
 
 def _freeze_vertex(v):
@@ -81,5 +73,6 @@ def load_simplicial_map(data) -> SimplicialMap:
 
 
 def load_embedding(data):
-    """Vertex->coords map keyed by str(vertex), parallel to a graph."""
-    return {k: np.array(v, dtype=float) for k, v in data.items()}
+    """Vertex->coords map keyed by str(vertex), parallel to a graph; every
+    row is checked to be a point of H^n."""
+    return {k: hyp.check_point(np.array(v, dtype=float)) for k, v in data.items()}

@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 
+from . import hyperboloid as hyp
 from .errors import EmptyMeasureError, NonFiniteInputError
 
 
@@ -120,10 +121,17 @@ class DiscreteMeasure:
     @classmethod
     def from_json(cls, text):
         """Measure from {"atoms": [{"site": ..., "w": ...}]}: a site that is
-        a JSON array is a point, a scalar is a vertex id."""
+        a JSON array is a point, which must lie on the sheet
+        (`hyperboloid.check_point`), a scalar is a vertex id."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError(f"a measure is a JSON object, not {type(data).__name__}")
-        sites = _as_sites([a["site"] for a in data["atoms"]], list)
-        weights = np.array([a["w"] for a in data["atoms"]], dtype=float)
-        return cls(sites, weights)
+        atoms = data["atoms"]
+        if not (isinstance(atoms, list) and all(isinstance(a, dict) for a in atoms)):
+            raise ValueError('a measure\'s "atoms" is a list of {"site": ..., "w": ...} objects')
+        sites = _as_sites([a["site"] for a in atoms], list)
+        weights = np.array([a["w"] for a in atoms], dtype=float)
+        measure = cls(sites, weights)
+        if isinstance(sites, np.ndarray):
+            hyp.check_point(sites)
+        return measure

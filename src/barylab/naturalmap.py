@@ -195,11 +195,11 @@ def _pushforward_barycenter(cover: MMGraph, images, x, cfg: NaturalMapConfig, di
 def natural_map_point(cover: MMGraph, f_tilde, x, cfg: NaturalMapConfig, dists=None):
     """F_s(x): the barycenter of the normalized pushforward measure.
 
-    Returns (HPoint, info) with the measure, its pushforward, the tail
-    bound and the solver record in `info`.
+    Returns (coordinates of F_s(x), info) with the measure, its pushforward,
+    the tail bound and the solver record in `info`.
     """
     info = _pushforward_barycenter(cover, _images(cover, f_tilde), x, cfg, dists)
-    return info["solver"].point, info
+    return info["solver"].coords, info
 
 
 def local_chart(gram, dim, rank_tol, what):
@@ -475,7 +475,7 @@ def deck_equivariance(cover: MMGraph, f_tilde, deck, rot, xs, cfg: NaturalMapCon
     for x in xs:
         fx, _ = natural_map_point(cover, images, x, cfg)
         fgx, _ = natural_map_point(cover, images, deck[x], cfg)
-        worst = max(worst, float(hyp.dist(fgx.coords, hyp.project_to_sheet(rot @ fx.coords))))
+        worst = max(worst, float(hyp.dist(fgx, hyp.project_to_sheet(rot @ fx))))
     return Gate("deck_equivariance", worst, 1e-6, worst < 1e-6)
 
 

@@ -1,13 +1,14 @@
 """Independent oracles shared by the module tests and the acceptance suite.
 
 Each oracle avoids the code path it checks: the barycenter oracle does grid
-search over a tangent chart (no gradient descent), the Wasserstein oracle
-enumerates unit assignments, the entropy oracle uses closed-form sphere
-counts on regular trees, the shortest-path oracle is a binary-heap Dijkstra
-over the edge list, the source-gradient oracle loops over atoms and fibers
-with distance dicts, the rotation-net oracle builds the fixture one
-sample and one orbit pair at a time, and the deck oracle tries every
-permutation of the sheets against the whole monodromy group.
+search over a tangent chart (no gradient descent), the Wasserstein oracles
+enumerate unit assignments or hand the linear program to HiGHS (no
+transportation simplex), the entropy oracle uses closed-form sphere counts
+on regular trees, the shortest-path oracle is a binary-heap Dijkstra over
+the edge list, the source-gradient oracle loops over atoms and fibers with
+distance dicts, the rotation-net oracle builds the fixture one sample and
+one orbit pair at a time, and the deck oracle tries every permutation of
+the sheets against the whole monodromy group.
 """
 
 import heapq
@@ -122,6 +123,23 @@ def subgroup_index_by_coset_tables(words, rank, max_index=5):
         if found:
             best = k
     return best
+
+
+def lp_w1(a, b, cost):
+    """Optimal transport cost between weight vectors a and b under `cost`,
+    solved as a linear program by HiGHS with feasibility tolerances 1e-10."""
+    from scipy.optimize import linprog
+    from scipy.sparse import eye, kron, vstack
+
+    n, m = cost.shape
+    rows = vstack([kron(eye(n), np.ones((1, m))), kron(np.ones((1, n)), eye(m))]).tocsr()
+    res = linprog(cost.ravel(), A_eq=rows, b_eq=np.concatenate([a, b]),
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise RuntimeError(f"LP oracle failed: {res.message}")
+    return float(res.fun)
 
 
 def heap_dijkstra(g, source, cutoff=None):

@@ -148,25 +148,25 @@ def test_solver_failure_attaches_best_iterate():
 def test_psi_homotopy_endpoints():
     rng = np.random.default_rng(11)
     sigma = random_measure(rng, 6).normalize()
-    fx = hyp.HPoint(hyp.random_point(rng, 3, 1.0))
+    fx = hyp.random_point(rng, 3, 1.0)
     at1 = psi_homotopy(1.0, fx, sigma)
-    assert np.max(np.abs(at1.coords - fx.coords)) == 0.0
+    assert np.max(np.abs(at1 - fx)) == 0.0
     at0 = psi_homotopy(0.0, fx, sigma)
-    assert hyp.dist(at0.coords, barycenter(sigma).coords) < 1e-7
+    assert hyp.dist(at0, barycenter(sigma).coords) < 1e-7
 
 
 def test_psi_homotopy_continuity():
     rng = np.random.default_rng(12)
     sigma = random_measure(rng, 6).normalize()
-    fx = hyp.HPoint(hyp.random_point(rng, 3, 1.0))
+    fx = hyp.random_point(rng, 3, 1.0)
     # W1(mix(t), mix(t')) <= |t - t'| * mean distance from fx to sigma
-    spread = float(np.sum(sigma.weights * hyp.dist_many(fx.coords, sigma.sites)))
+    spread = float(np.sum(sigma.weights * hyp.dist_many(fx, sigma.sites)))
     steps = np.linspace(0.0, 1.0, 65)
     prev = psi_homotopy(steps[0], fx, sigma)
     for t in steps[1:]:
         cur = psi_homotopy(t, fx, sigma)
         bound = (steps[1] - steps[0]) * spread * (1 + 1e-6) + 1e-7
-        assert hyp.dist(prev.coords, cur.coords) <= bound
+        assert hyp.dist(prev, cur) <= bound
         prev = cur
 
 

@@ -152,6 +152,33 @@ def test_wasserstein_cost_is_the_per_pair_distance(tmp_path, monkeypatch):
     assert (seen["cost"] == loop).all()
 
 
+def naturalmap_files(tmp_path, scale=1.0):
+    """A file-based naturalmap config on a 189-vertex ball net: the graph
+    and embedding JSON files it names, and its own text.  `scale`
+    multiplies the embedding row of vertex 0, which is not a sample point
+    (a sample point off the sheet would also trip the distance kernel's
+    own check), so only the load-time sheet check can catch it."""
+    g, emb = graphs.hyperbolic_ball_net(np.random.default_rng(5), n=3, radius=1.5,
+                                        spacing=0.45)
+    rows = {str(v): emb[v].tolist() for v in g.vertices}
+    rows["0"] = (scale * emb[0]).tolist()
+    (tmp_path / "graph.json").write_text(g.to_json())
+    (tmp_path / "embedding.json").write_text(json.dumps(rows))
+    return json.dumps({
+        "graph": str(tmp_path / "graph.json"),
+        "embedding": str(tmp_path / "embedding.json"),
+        "entropy": {"r_min": 0.6, "r_max": 1.4, "step": 0.2},
+        "s_factors": [1.3, 1.8],
+        "truncation_radius": 3.2,
+        "tail_tolerance": 5.0,
+        "num_samples": 3,
+    })
+
+
+OFF_SHEET_SITES = ('{"atoms": [{"site": [1.1, 0.3, 0, 0], "w": 1}, '
+                   '{"site": [1.2, 0, 0.4, 0], "w": 1}]}')
+
+
 @pytest.mark.parametrize("argv, text", [
     pytest.param(["barycenter", "IN"], "[1, 2]", id="barycenter-array"),
     pytest.param(["naturalmap", "IN"], "[1, 2]", id="naturalmap-array"),
@@ -172,10 +199,18 @@ def test_wasserstein_cost_is_the_per_pair_distance(tmp_path, monkeypatch):
                  id="barycenter-on-vertex-ids"),
     pytest.param(["wasserstein", "IN", "IN"], '{"atoms": [{"site": 3, "w": 1}]}',
                  id="wasserstein-ids-without-graph"),
+    pytest.param(["barycenter", "IN"], OFF_SHEET_SITES, id="barycenter-off-sheet"),
+    pytest.param(["wasserstein", "IN", "IN"], OFF_SHEET_SITES, id="wasserstein-off-sheet"),
+    pytest.param(["barycenter", "IN"], '{"atoms": [[1, 0, 0]]}', id="atoms-not-objects"),
+    pytest.param(["barycenter", "IN"], '{"atoms": 5}', id="atoms-not-a-list"),
+    pytest.param(["barycenter", "IN"], '{"atoms": [{"site": [], "w": 1}]}',
+                 id="point-site-without-coordinates"),
+    pytest.param(["naturalmap", "IN"], lambda tmp_path: naturalmap_files(tmp_path, scale=1.05),
+                 id="naturalmap-embedding-off-sheet"),
 ])
 def test_malformed_input_exit_code(argv, text, tmp_path):
     path = tmp_path / "input.json"
-    path.write_text(text)
+    path.write_text(text(tmp_path) if callable(text) else text)
     code, _, _ = run_cli([str(path) if a == "IN" else a for a in argv], tmp_path)
     assert code == 2
 
@@ -297,6 +332,20 @@ def test_naturalmap_command_small(tmp_path):
     assert len(rows) == 8
     assert all(len(row) == len(header) for row in rows)
     assert all(row[0].startswith("(") for row in rows)
+
+
+def test_naturalmap_command_file_based(tmp_path):
+    cpath = tmp_path / "nm.json"
+    cpath.write_text(naturalmap_files(tmp_path))
+    code, out, files = run_cli(["naturalmap", str(cpath)], tmp_path)
+    assert code == 0, out
+    payload = json.loads(out)
+    assert payload["vertices"] == 189 and payload["violations"] == 0
+    assert payload["equivariance"] is None
+    assert sorted(payload["gates"]) == ["K_minus_ImH", "det_B", "jac_formula", "trace_H"]
+    assert all(g["passed"] for g in payload["gates"].values())
+    assert json.loads(files["naturalmap_summary.json"]) == payload
+    assert len(files["naturalmap_run.csv"].decode().splitlines()) == 2 + 3 * 2
 
 
 def test_csv_fields_round_trip():

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,17 +5,14 @@ from barylab import graphs
 from barylab.errors import DegeneratePointError, RankDeficiencyError
 from barylab.indices import fixtures as ifx
 from barylab.indices import ind_H_degree
-from barylab.io import load_simplicial_map, load_voltage
+from barylab.io import load_simplicial_map
 from barylab.mmgraph import build_cover
 from barylab.naturalmap import NaturalMapConfig, assemble_tensors, jacobian_formula
 
 
 def test_voltage_json_roundtrip_builds_cover():
     base = graphs.rose_graph(2)
-    data = json.loads('{"0": [2, 3, 1], "1": [1, 2, 3]}')  # 1-based one-line
-    voltage = load_voltage(data)
-    assert voltage == {0: (1, 2, 0), 1: (0, 1, 2)}
-    cover = build_cover(base, voltage)
+    cover = build_cover(base, {0: (1, 2, 0), 1: (0, 1, 2)})
     assert cover.sheets == 3
     cover.validate()
 

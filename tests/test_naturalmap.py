@@ -144,7 +144,7 @@ def test_natural_map_constant_embedding():
     g = graphs.regular_tree(3, 7)
     q = hyp.random_point(np.random.default_rng(1), 3, 1.0)
     point, info = natural_map_point(g, lambda v: q, 0, tree_cfg(1.5, radius=6.0))
-    assert hyp.dist(point.coords, q) < 1e-12
+    assert hyp.dist(point, q) < 1e-12
     assert info["tail_bound"] <= 1e-2 * info["mu"].total_mass
 
 
@@ -155,8 +155,8 @@ def test_natural_map_two_s_values_smoke():
                             tail_tolerance=5.0)
     p1, _ = natural_map_point(g, emb, center, cfg1)
     p2, _ = natural_map_point(g, emb, center, dataclasses.replace(cfg1, s=3.0))
-    assert np.all(np.isfinite(p1.coords)) and np.all(np.isfinite(p2.coords))
-    assert hyp.dist(p1.coords, p2.coords) < 0.5
+    assert np.all(np.isfinite(p1)) and np.all(np.isfinite(p2))
+    assert hyp.dist(p1, p2) < 0.5
 
 
 def test_natural_map_deck_equivariance():
@@ -167,7 +167,7 @@ def test_natural_map_deck_equivariance():
     x = g.vertices[0]
     fx, _ = natural_map_point(g, emb, x, cfg)
     fgx, _ = natural_map_point(g, emb, deck[x], cfg)
-    assert hyp.dist(fgx.coords, hyp.project_to_sheet(rot @ fx.coords)) < 1e-6
+    assert hyp.dist(fgx, hyp.project_to_sheet(rot @ fx)) < 1e-6
 
 
 def test_gate_thresholds_are_the_acceptance_values():
@@ -314,7 +314,7 @@ def test_natural_map_is_lipschitz_on_fixture():
                 if hyp.dist(emb[v], hyp.basepoint(3)) < 0.8][:12]
     values = {}
     for x in interior:
-        values[x] = tuple(natural_map_point(g, emb, x, cfg)[0].coords)
+        values[x] = tuple(natural_map_point(g, emb, x, cfg)[0])
 
     sub_edges = [(u, v, length) for u, v, length in g.edges
                  if u in values and v in values]

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -8,6 +7,8 @@ from barylab import hyperboloid as hyp
 from barylab.errors import EmptyMeasureError, NonFiniteInputError, UnbalancedMeasuresError
 from barylab.measures import DiscreteMeasure
 from barylab.transport import brute_force_w1, wasserstein1
+
+from oracles import lp_w1
 
 RNG = np.random.default_rng(7)
 
@@ -84,6 +85,22 @@ def test_w1_agrees_with_unit_brute_force():
         plan.validate(mu, nu)
 
 
+@pytest.mark.parametrize("weights", ["uniform", "random"])
+@pytest.mark.parametrize("k, l", [(5, 5), (20, 30), (60, 60), (100, 80)])
+def test_w1_matches_highs_lp(k, l, weights):
+    # relative tolerance 1e-9, fixed before the first run; uniform weights
+    # make the simplex bases degenerate
+    rng = np.random.default_rng(7000 + k + l)
+    mu = random_point_measure(rng, k, unit_weights=weights == "uniform").normalize()
+    nu = random_point_measure(rng, l, unit_weights=weights == "uniform").normalize()
+    cost = hyp.dist(mu.sites[:, None], nu.sites[None])
+    value, plan = wasserstein1(mu, nu, cost=cost)
+    oracle = lp_w1(mu.weights, nu.weights, cost)
+    assert abs(value - oracle) <= 1e-9 * oracle
+    assert abs(plan.cost(cost) - value) <= 1e-9 * value
+    plan.validate(mu, nu)
+
+
 def test_w1_metric_properties_random_triples():
     # symmetry exact, triangle inequality within 1e-9, on normalized measures
     for trial in range(1000):
@@ -131,21 +148,17 @@ def test_pushforward_contraction_bound():
         nu = random_point_measure(rng, 5, unit_weights=True).normalize()
         center = hyp.basepoint(3)
         t = rng.uniform(0.2, 1.0)
-
-        def contract(site):
-            p = np.array(site)
-            return tuple(hyp.exp(center, t * hyp.log(center, p)))
-
-        support = [np.array(s) for s in mu.sites] + [np.array(s) for s in nu.sites]
-        lip = 0.0
-        for x, y in itertools.combinations(support, 2):
-            dxy = hyp.dist(x, y)
-            if dxy > 1e-9:
-                fx, fy = np.array(contract(tuple(x))), np.array(contract(tuple(y)))
-                lip = max(lip, hyp.dist(fx, fy) / dxy)
-        d0, _ = wasserstein1(mu, nu, metric=hyp_metric)
-        d1, _ = wasserstein1(mu.pushforward(contract), nu.pushforward(contract),
-                             metric=hyp_metric)
+        support = np.vstack([mu.sites, nu.sites])
+        image = hyp.exp(center, t * hyp.log_many(center, support))
+        d = hyp.dist(support[:, None], support[None])
+        apart = d > 1e-9
+        lip = float(np.max(hyp.dist(image[:, None], image[None])[apart] / d[apart],
+                           initial=0.0))
+        d0, _ = wasserstein1(mu, nu, cost=hyp.dist(mu.sites[:, None], nu.sites[None]))
+        # f#mu and f#nu: the image rows with the original weights
+        fmu = DiscreteMeasure(image[:len(mu)], mu.weights)
+        fnu = DiscreteMeasure(image[len(mu):], nu.weights)
+        d1, _ = wasserstein1(fmu, fnu, cost=hyp.dist(fmu.sites[:, None], fnu.sites[None]))
         assert d1 <= lip * d0 * (1 + 1e-9) + 1e-12
 
 
