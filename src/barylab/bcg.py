@@ -25,6 +25,7 @@ import numpy as np
 from .errors import BoundViolationError, OutsideDomainError
 
 SAMPLERS = ("wishart", "dirichlet", "boundary")
+CHUNK = 20_000  # samples per independently seeded block of a scan
 VIOLATION_RTOL = 1e-9
 
 
@@ -238,11 +239,11 @@ class ScanReport:
         }
 
 
-def _scan_block(N, d, size, rng, samplers, structures, bound):
-    per = max(1, size // len(samplers))
+def _scan_block(N, d, size, rng, structures, bound):
+    per = max(1, size // len(SAMPLERS))
     blocks = []
-    for name in samplers:
-        take = per if name != samplers[-1] else size - per * (len(samplers) - 1)
+    for name in SAMPLERS:
+        take = per if name != SAMPLERS[-1] else size - per * (len(SAMPLERS) - 1)
         blocks.append(_SAMPLER_FNS[name](rng, N, take))
     H = np.concatenate(blocks, axis=0)
     D = np.eye(N)[None, :, :] - H
@@ -271,44 +272,38 @@ def _scan_block(N, d, size, rng, samplers, structures, bound):
     return eigs, ratios, deficits, int(np.sum(~ok))
 
 
-def bcg_scan(N: int, d: int, count: int, rng=None, samplers=SAMPLERS,
-             J=None, chunk=20_000, threads: int = 1) -> ScanReport:
-    """Sample `count` inputs and verify the inequality on each.
+def bcg_scan(N: int, d: int, count: int, rng=None, threads: int = 1) -> ScanReport:
+    """Sample `count` inputs H, in equal shares from each of SAMPLERS, and
+    verify the inequality on each with the canonical structures of (N, d).
 
     Any ratio above bound * (1 + 1e-9) aborts with the counterexample
     serialized in the exception.  The empirical deficit constant is the
     infimum over samples of (1 - sqrt(ratio/bound)) / sum_j (mu_j - 1/N)^2.
-    Chunks carry independently spawned RNG streams and are merged in chunk
-    order, so results are byte-identical for any thread count.
+    Chunks of CHUNK samples carry independently spawned RNG streams and are
+    merged in chunk order, so results are byte-identical for any thread count.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     bound = bcg_bound(N, d)
-    structures = canonical_structures(N, d) if J is None else list(J)
-    SpectralInput(N, d, np.eye(N) / N, structures)  # validates the J set
-    sizes = []
-    remaining = count
-    while remaining > 0:
-        c = min(chunk, remaining)
-        sizes.append(c)
-        remaining -= c
+    structures = canonical_structures(N, d)
+    sizes = [min(CHUNK, count - lo) for lo in range(0, count, CHUNK)]
     if isinstance(rng, np.random.Generator):
         seeds = rng.spawn(len(sizes))
     else:
         seeds = np.random.SeedSequence(rng if rng is not None else 0).spawn(len(sizes))
         seeds = [np.random.default_rng(s) for s in seeds]
     jobs = list(zip(sizes, seeds))
+
+    def scan(job):
+        return _scan_block(N, d, *job, structures, bound)
+
     if threads > 1 and len(jobs) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda job: _scan_block(N, d, job[0], job[1], samplers, structures, bound),
-                jobs,
-            ))
+            results = list(pool.map(scan, jobs))
     else:
-        results = [_scan_block(N, d, c, g, samplers, structures, bound)
-                   for c, g in jobs]
+        results = list(map(scan, jobs))
     eigs_all = np.concatenate([r[0] for r in results], axis=0)
     ratios_all = np.concatenate([r[1] for r in results])
     deficits_all = np.concatenate([r[2] for r in results])

@@ -65,11 +65,16 @@ def _fmt(x):
     return text
 
 
-def _csv(rows, header):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+def _write_csv(out_dir, name, config, header, columns):
+    """Write a CSV report (version/digest comment, header, one row per column
+    entry) to out_dir/name and return its path; numpy columns skip _fmt."""
+    cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray) else map(_fmt, col)
+             for col in columns]
+    lines = [f"# barylab {__version__} config {_digest(config)}", ",".join(header)]
+    lines += map(",".join, zip(*cells))
+    path = os.path.join(out_dir, name)
+    _write(path, "\n".join(lines) + "\n")
+    return path
 
 
 def _print_json(payload):
@@ -88,10 +93,8 @@ def cmd_entropy(args):
     est = volume_entropy(g, x, args.rmin, args.rmax, step=args.step)
     config = {"command": "entropy", "graph": args.graph, "basepoint": str(x),
               "rmin": args.rmin, "rmax": args.rmax, "step": args.step}
-    rows = [(r, math.log(mass)) for r, mass in zip(est.radii, est.masses)]
-    out = os.path.join(args.out_dir, "entropy.csv")
-    _write(out, f"# barylab {__version__} config {_digest(config)}\n"
-           + _csv(rows, ["R", "log_mass"]))
+    out = _write_csv(args.out_dir, "entropy.csv", config, ["R", "log_mass"],
+                     [est.radii, [math.log(mass) for mass in est.masses]])
     _print_json({**_stamp(config), "h": est.h, "window": list(est.window),
                  "residual": est.residual, "csv": out})
     return 0
@@ -125,9 +128,8 @@ def cmd_wasserstein(args):
     value, plan = wasserstein1(mu, nu, cost=cost)
     config = {"command": "wasserstein", "mu": args.mu, "nu": args.nu,
               "graph": args.graph}
-    out = os.path.join(args.out_dir, "plan.csv")
-    _write(out, f"# barylab {__version__} config {_digest(config)}\n"
-           + _csv(plan.flows, ["source", "target", "mass"]))
+    out = _write_csv(args.out_dir, "plan.csv", config, ["source", "target", "mass"],
+                     zip(*plan.flows))
     _print_json({**_stamp(config), "w1": value, "plan": out,
                  "flows": len(plan.flows)})
     return 0
@@ -168,6 +170,8 @@ def cmd_naturalmap(args):
         s_values = list(config["s_values"])
     else:
         s_values = [f * h_est for f in config.get("s_factors", [1.1, 1.5, 2.0])]
+    if not s_values:
+        raise ConfigurationError("naturalmap needs at least one value of s")
     floor = h_est + 3 * est.residual
     bad = [s for s in s_values if s <= floor]
     if bad:
@@ -184,8 +188,12 @@ def cmd_naturalmap(args):
     if "sample_points" in config:
         by_str = {str(v): v for v in cover.vertices}
         samples = [by_str.get(str(v), v) for v in config["sample_points"]]
+        if not samples:
+            raise ConfigurationError("sample_points is empty")
     else:
         k = config.get("num_samples", 12)
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise ConfigurationError(f"num_samples must be a positive integer, not {k!r}")
         dist0 = cover.dijkstra(base)
         samples = sorted(cover.vertices, key=lambda v: (dist0[v], str(v)))[:k]
     run = run_natural_map(cover, emb, cfg, samples, s_values=s_values,
@@ -213,9 +221,7 @@ def cmd_naturalmap(args):
               + ["trace_H", "H_dev", "det_K", "jac_formula", "jac_mesh",
                  "bound", "gap", "eta_mass", "tail_bound", "excluded_mass",
                  "cond_LK", "det_B", "cs_gap"])
-    run_csv = os.path.join(args.out_dir, "naturalmap_run.csv")
-    _write(run_csv, f"# barylab {__version__} config {_digest(config)}\n"
-           + _csv(rows, header))
+    run_csv = _write_csv(args.out_dir, "naturalmap_run.csv", config, header, zip(*rows))
     summary = {
         **_stamp(config),
         "h_estimate": h_est,
@@ -242,19 +248,12 @@ def cmd_bcg(args):
               "count": args.count, "seed": args.seed}
     report = bcg_scan(args.N, args.d, args.count, rng=args.seed,
                       threads=args.threads)
-    rows = []
-    for i in range(report.count):
-        rows.append((
-            i, *[float(e) for e in report.eigenvalues[i]],
-            float(report.ratios[i]), report.bound,
-            float(report.deficits[i]),
-            report.bound - float(report.ratios[i]),
-        ))
     header = (["sample"] + [f"mu{j}" for j in range(args.N)]
               + ["ratio", "bound", "deficit", "margin"])
-    out = os.path.join(args.out_dir, "bcg_scan.csv")
-    _write(out, f"# barylab {__version__} config {_digest(config)}\n"
-           + _csv(rows, header))
+    out = _write_csv(args.out_dir, "bcg_scan.csv", config, header,
+                     [np.arange(report.count), *report.eigenvalues.T, report.ratios,
+                      np.full(report.count, report.bound), report.deficits,
+                      report.bound - report.ratios])
     _print_json({**_stamp(config), **report.summary(), "csv": out})
     return 0
 

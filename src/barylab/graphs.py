@@ -103,19 +103,6 @@ def _closer_than(points, others, spacing):
     return False
 
 
-def _greedy_net(points, spacing):
-    kept = []
-    buf = np.empty_like(points)
-    for idx, p in enumerate(points):
-        if kept:
-            d = hyp.dist_many(p, buf[: len(kept)])
-            if np.min(d) < spacing:
-                continue
-        buf[len(kept)] = p
-        kept.append(idx)
-    return kept
-
-
 def ball_volume(n, radius):
     """Volume of a radius-R ball in H^n (unit-sphere area times sinh integral)."""
     omega = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
@@ -170,37 +157,13 @@ def _rotate(rot, points):
     return out
 
 
-def hyperbolic_ball_net(rng, n=3, radius=2.0, spacing=0.35, edge_factor=2.0,
-                        oversample=30):
-    """Epsilon-net of a hyperbolic ball as a metric measure graph.
+def _orbit_net(rng, order, n, radius, spacing, edge_factor, oversample):
+    """Greedy net of a hyperbolic ball made of orbits of the rotation `rot`
+    by 2*pi/order in the last two coordinates.
 
-    Returns (graph, embedding) where embedding maps vertex ids to H^n
-    coordinate arrays; vertices carry unit measure, edges join net points
-    within edge_factor * spacing and carry their exact hyperbolic length.
+    Returns (orbits, edges, rot): the (m, order, n+1) orbit points and the
+    edges within edge_factor * spacing on (orbit, step) ids.
     """
-    target = max(200, int(oversample * ball_volume(n, radius) / spacing**n))
-    samples = _sample_ball(rng, n, radius, target)
-    kept = _greedy_net(samples, spacing)
-    coords = samples[kept]
-    m = len(coords)
-    edges = [(i, j, d) for i, j, d in _close_pairs(coords, coords, edge_factor * spacing)
-             if j > i]
-    graph = MMGraph(list(range(m)), edges)
-    embedding = {i: coords[i] for i in range(m)}
-    return graph, embedding
-
-
-def rotation_symmetric_net(rng, order=4, n=3, radius=2.0, spacing=0.35,
-                           edge_factor=2.0, oversample=30):
-    """Ball net invariant under a cyclic rotation, with the exact deck data.
-
-    The net is built from orbits of a rotation by 2*pi/order in the last two
-    coordinates.  Edge lengths and the vertex permutation `deck` are
-    replicated across orbits, so the deck map preserves the graph exactly
-    (not just to rounding).  Returns (graph, embedding, deck, rotation_matrix).
-    """
-    if order < 2:
-        raise ValueError("order must be >= 2")
     rot = hyp.rotation(2 * math.pi / order, n, i=n - 1, j=n)
     target = max(200, int(oversample * ball_volume(n, radius) / spacing**n / order))
     samples = _sample_ball(rng, n, radius, target)
@@ -225,10 +188,8 @@ def rotation_symmetric_net(rng, order=4, n=3, radius=2.0, spacing=0.35,
             filled += 1
     orbits = kept[:filled]
     del samples, batch, internal
-    vertices = [(o, s) for o in range(filled) for s in range(order)]
-    embedding = {(o, s): orbits[o, s] for o, s in vertices}
     # representative edges computed once per orbit pair, then rotated, so the
-    # edge set and lengths are exactly invariant under the deck permutation
+    # edge set and lengths are exactly invariant under the step shift
     edges = []
     for o1, col, d in _close_pairs(orbits[:, 0], orbits.reshape(-1, n + 1),
                                    edge_factor * spacing):
@@ -244,6 +205,40 @@ def rotation_symmetric_net(rng, order=4, n=3, radius=2.0, spacing=0.35,
             shifts = range(order)
         for shift in shifts:
             edges.append(((o1, shift), (o2, (s + shift) % order), d))
+    return orbits, edges, rot
+
+
+def hyperbolic_ball_net(rng, n=3, radius=2.0, spacing=0.35, edge_factor=2.0,
+                        oversample=30):
+    """Epsilon-net of a hyperbolic ball as a metric measure graph.
+
+    This is the order-1 rotation net with integer vertex ids: sample points
+    are kept greedily when they lie at least `spacing` from every point kept
+    before.  Returns (graph, embedding) where embedding maps vertex ids to
+    H^n coordinate arrays; vertices carry unit measure, edges join net
+    points within edge_factor * spacing and carry their exact hyperbolic
+    length.
+    """
+    orbits, edges, _ = _orbit_net(rng, 1, n, radius, spacing, edge_factor, oversample)
+    graph = MMGraph(list(range(len(orbits))), [(u, v, d) for (u, _), (v, _), d in edges])
+    return graph, dict(enumerate(orbits[:, 0]))
+
+
+def rotation_symmetric_net(rng, order=4, n=3, radius=2.0, spacing=0.35,
+                           edge_factor=2.0, oversample=30):
+    """Ball net invariant under a cyclic rotation, with the exact deck data.
+
+    The net is built from orbits of a rotation by 2*pi/order in the last two
+    coordinates; vertex (o, s) is step s of orbit o.  Edge lengths and the
+    vertex permutation `deck` are replicated across orbits, so the deck map
+    preserves the graph exactly (not just to rounding).  Returns (graph,
+    embedding, deck, rotation_matrix).
+    """
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    orbits, edges, rot = _orbit_net(rng, order, n, radius, spacing, edge_factor, oversample)
+    vertices = [(o, s) for o in range(len(orbits)) for s in range(order)]
+    embedding = {(o, s): orbits[o, s] for o, s in vertices}
     graph = MMGraph(vertices, edges)
     deck = {(o, s): (o, (s + 1) % order) for o, s in vertices}
     return graph, embedding, deck, rot

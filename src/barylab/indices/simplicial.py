@@ -226,28 +226,25 @@ def _generic_barycentric(dim, rng, retries=100):
     raise NonGenericSampleError("could not sample a generic point")
 
 
-def pre_count(f: SimplicialMap, samples: int, rng=None, return_details=False):
+def pre_count(f: SimplicialMap, samples: int, rng=None):
     """Volume-weighted average number of preimages of generic target points.
 
-    Samples target simplices proportionally to volume and uniform generic
-    interior points; non-generic draws are retried up to 100 times, then
-    skipped (the skip count is available via return_details).
+    Draws `samples` target simplices proportionally to volume, each with a
+    uniform generic interior point.  A draw whose point stays non-generic
+    after 100 retries is skipped; 0.0 when every draw is.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, not {samples}")
     rng = np.random.default_rng(rng)
     counts = []
-    skipped = 0
     for _ in range(samples):
         tgt = _sample_target_simplex(f.target, rng)
         try:
             lam = _generic_barycentric(f.target.dim, rng)
         except NonGenericSampleError:
-            skipped += 1
             continue
         counts.append(len(f.preimages(tgt, lam)))
-    value = float(np.mean(counts)) if counts else 0.0
-    if return_details:
-        return value, {"samples": len(counts), "skipped": skipped}
-    return value
+    return float(np.mean(counts)) if counts else 0.0
 
 
 def pointwise_degree(f: SimplicialMap, tgt_idx: int, lam) -> int:
@@ -284,8 +281,8 @@ def ind_H_degree(f: SimplicialMap, rng=None, probes: int = 10) -> int:
 def coarea_check(f, samples: int, rng=None):
     """Check integral of |Jacobian| = integral of the preimage count.
 
-    For a `SimplicialMap` the right side is Monte-Carlo over the target
-    complex (volume-stratified); for a `PLMap` it is Monte-Carlo over a
+    For a `SimplicialMap` the right side is the target volume times
+    `pre_count`; for a `PLMap` it is Monte-Carlo over a
     bounding box of the image in R^n.  Returns a dict with both sides and
     their relative gap.
     """
@@ -296,13 +293,10 @@ def coarea_check(f, samples: int, rng=None):
             m = f.images[idx]
             if m.target is not None:
                 lhs += m.vol_ratio * f.domain.volume(idx)
-        counts = []
-        for _ in range(samples):
-            tgt = _sample_target_simplex(f.target, rng)
-            lam = _generic_barycentric(f.target.dim, rng)
-            counts.append(len(f.preimages(tgt, lam)))
-        rhs = f.target.total_volume * float(np.mean(counts))
+        rhs = f.target.total_volume * pre_count(f, samples, rng)
     elif isinstance(f, PLMap):
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, not {samples}")
         dim = f.domain.dim
         lhs = 0.0
         for idx in range(len(f.domain.simplices)):

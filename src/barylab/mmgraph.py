@@ -11,6 +11,7 @@ one vertex.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,17 +233,23 @@ def ball_measure(g: MMGraph, x, R):
 def volume_entropy(g: MMGraph, x, r_min: float, r_max: float, step: float = 1.0) -> EntropyEstimate:
     """Regression estimate of the exponential growth rate of ball masses.
 
-    Samples radii r_min, r_min+step, ..., r_max (unit step by default).
+    Samples radii r_min, r_min+step, ..., r_max (unit step by default); the
+    step must be finite and positive and leave at least two radii.
     Raises WindowSaturationError when the largest ball already swallows the
     whole graph, in which case the window says nothing about growth.
     """
-    if not (r_max > r_min >= 0):
-        raise ValueError("window must satisfy r_max > r_min >= 0")
+    if not (math.inf > r_max > r_min >= 0):
+        raise ValueError("window must satisfy inf > r_max > r_min >= 0")
+    if not (math.inf > step > 0):
+        raise ValueError(f"step must be finite and positive, not {step!r}")
     radii = []
     r = r_min
     while r <= r_max + 1e-12:
         radii.append(r)
         r += step
+    if len(radii) < 2:
+        raise ValueError(f"step {step!r} leaves one radius in [{r_min!r}, {r_max!r}]; "
+                         "a fit needs two")
     masses = ball_measure(g, x, radii)
     if masses[-1] >= g.total_measure:
         raise WindowSaturationError(

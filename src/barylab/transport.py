@@ -81,8 +81,8 @@ def wasserstein1(mu: DiscreteMeasure, nu: DiscreteMeasure, metric=None, cost=Non
             raise ValueError("either metric or cost must be given")
         cost = cost_matrix_from_metric(mu, nu, metric)
     cost = np.asarray(cost, dtype=float)
-    flows, value = _transportation_simplex(mu.weights, nu.weights, cost)
-    return value, CouplingPlan(tuple(flows))
+    plan = CouplingPlan(tuple(_transportation_simplex(mu.weights, nu.weights, cost)))
+    return plan.cost(cost), plan
 
 
 def _northwest_corner(a, b):
@@ -163,11 +163,11 @@ def _tree_path(basis, n, start, goal):
     return cells
 
 
-def _transportation_simplex(a, b, cost, max_pivots=None):
+def _transportation_simplex(a, b, cost):
+    """Optimal flows (i, j, mass > 0) in row-major order."""
     n, m = len(a), len(b)
     flow, basis = _northwest_corner(a, b)
-    if max_pivots is None:
-        max_pivots = 20 * (n * m + n + m) + 1000
+    pivot_limit = 20 * (n * m + n + m) + 1000
     bland_after = 4 * (n * m + n + m) + 200
     pivots = 0
     basis_set = set(basis)
@@ -208,13 +208,11 @@ def _transportation_simplex(a, b, cost, max_pivots=None):
         basis_set.add((ei, ej))
         basis = sorted(basis_set)
         pivots += 1
-        if pivots > max_pivots:
+        if pivots > pivot_limit:
             raise SolverFailureError(
-                f"transportation simplex exceeded {max_pivots} pivots", iterations=pivots
+                f"transportation simplex exceeded {pivot_limit} pivots", iterations=pivots
             )
-    flows = [(i, j, q) for (i, j), q in sorted(flow.items()) if q > 0.0]
-    value = float(sum(q * cost[i, j] for i, j, q in flows))
-    return flows, value
+    return [(i, j, q) for (i, j), q in sorted(flow.items()) if q > 0.0]
 
 
 def brute_force_w1(mu: DiscreteMeasure, nu: DiscreteMeasure, cost):

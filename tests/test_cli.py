@@ -175,6 +175,20 @@ def naturalmap_files(tmp_path, scale=1.0):
     })
 
 
+def small_naturalmap(**overrides):
+    """A fast rotation-net naturalmap config with some keys replaced."""
+    return json.dumps({
+        "fixture": {"type": "rotation_net", "order": 3, "radius": 1.3,
+                    "spacing": 0.45, "dim": 3},
+        "entropy": {"r_min": 0.5, "r_max": 1.2, "step": 0.35},
+        "s_factors": [1.5],
+        "truncation_radius": 3.0,
+        "tail_tolerance": 5.0,
+        "num_samples": 2,
+        **overrides,
+    })
+
+
 OFF_SHEET_SITES = ('{"atoms": [{"site": [1.1, 0.3, 0, 0], "w": 1}, '
                    '{"site": [1.2, 0, 0.4, 0], "w": 1}]}')
 
@@ -207,6 +221,24 @@ OFF_SHEET_SITES = ('{"atoms": [{"site": [1.1, 0.3, 0, 0], "w": 1}, '
                  id="point-site-without-coordinates"),
     pytest.param(["naturalmap", "IN"], lambda tmp_path: naturalmap_files(tmp_path, scale=1.05),
                  id="naturalmap-embedding-off-sheet"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(num_samples=0), id="naturalmap-no-samples"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(num_samples=-1),
+                 id="naturalmap-negative-samples"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(sample_points=[]),
+                 id="naturalmap-empty-sample-points"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(s_values=[]), id="naturalmap-empty-s-values"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(s_factors=[]),
+                 id="naturalmap-empty-s-factors"),
+    pytest.param(["indices", "IN", "--samples", "0"], '{"fixture": {"type": "torus_cover"}}',
+                 id="indices-no-samples"),
+    pytest.param(["coarea", "IN", "--samples", "0"], '{"fixture": {"type": "torus_cover"}}',
+                 id="coarea-no-samples"),
+    pytest.param(["coarea", "IN", "--samples", "0"], '{"fixture": {"type": "jittered_pl"}}',
+                 id="coarea-pl-no-samples"),
+    pytest.param(["entropy", "IN", "--rmin", "2", "--rmax", "5", "--step", "nan"],
+                 lambda tmp_path: graphs.regular_tree(3, 8).to_json(), id="entropy-nan-step"),
+    pytest.param(["entropy", "IN", "--rmin", "2", "--rmax", "5", "--step", "10"],
+                 lambda tmp_path: graphs.regular_tree(3, 8).to_json(), id="entropy-one-radius"),
 ])
 def test_malformed_input_exit_code(argv, text, tmp_path):
     path = tmp_path / "input.json"
@@ -348,13 +380,21 @@ def test_naturalmap_command_file_based(tmp_path):
     assert len(files["naturalmap_run.csv"].decode().splitlines()) == 2 + 3 * 2
 
 
-def test_csv_fields_round_trip():
-    from barylab.cli import _csv
+def test_csv_fields_round_trip(tmp_path):
+    from barylab import __version__
+    from barylab.cli import _digest, _write_csv
 
-    rows = [((425, 2), 0.1, 3), ('say "hi"\nthere', -2.5e-300, "plain")]
-    parsed = list(csv.reader(io.StringIO(_csv(rows, ["x", "v", "k"]), newline="")))
-    assert parsed == [["x", "v", "k"], ["(425, 2)", "0.1", "3"],
-                      ['say "hi"\nthere', "-2.5e-300", "plain"]]
+    config = {"command": "test"}
+    path = _write_csv(str(tmp_path), "t.csv", config, ["x", "v", "k", "a"],
+                      [[(425, 2), 'say "hi"\nthere'], [0.1, -2.5e-300], [3, "plain"],
+                       np.array([math.nan, 1e-17])])
+    assert path == str(tmp_path / "t.csv")
+    with open(path, newline="", encoding="utf-8") as fh:
+        comment = fh.readline()
+        parsed = list(csv.reader(fh))
+    assert comment == f"# barylab {__version__} config {_digest(config)}\n"
+    assert parsed == [["x", "v", "k", "a"], ["(425, 2)", "0.1", "3", "nan"],
+                      ['say "hi"\nthere', "-2.5e-300", "plain", "1e-17"]]
 
 
 def test_naturalmap_s_below_entropy_rejected(tmp_path):

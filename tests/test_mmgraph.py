@@ -107,6 +107,14 @@ def test_volume_entropy_carries_its_radii_and_masses():
     assert est.masses == tuple(float(regular_tree_ball_mass(3, r)) for r in est.radii)
 
 
+@pytest.mark.parametrize("r_max, step", [(5, 0), (5, -1), (5, math.nan), (5, math.inf),
+                                          (5, 10), (math.inf, 1)])
+def test_volume_entropy_rejects_windows_without_two_radii(r_max, step):
+    # a step of 0 or below, or an infinite r_max, would add radii without end
+    with pytest.raises(ValueError):
+        volume_entropy(graphs.regular_tree(3, 8), 0, 2, r_max, step=step)
+
+
 def test_volume_entropy_saturation_error():
     g = graphs.path_graph(30)
     with pytest.raises(WindowSaturationError):
@@ -349,12 +357,22 @@ def test_dijkstra_matches_heap_oracle_on_rotation_net():
             assert list(got.items()) == list(heap_dijkstra(g, source, cutoff=cutoff).items())
 
 
-@pytest.mark.parametrize("seed, order, radius, spacing", [(7, 3, 1.3, 0.45), (6, 4, 1.5, 0.45)])
+@pytest.mark.parametrize("seed, order, radius, spacing",
+                         [(7, 3, 1.3, 0.45), (6, 4, 1.5, 0.45), (5, 1, 1.5, 0.45),
+                          (7, 1, 1.3, 0.45)])
 def test_rotation_net_matches_scalar_builder(seed, order, radius, spacing):
-    g, emb, _, _ = graphs.rotation_symmetric_net(
-        np.random.default_rng(seed), order=order, n=3, radius=radius, spacing=spacing)
     vertices, edges, embedding = scalar_rotation_net(
         np.random.default_rng(seed), order=order, n=3, radius=radius, spacing=spacing)
+    if order == 1:
+        # the ball net is the order-1 rotation net with vertex (o, 0) named o
+        g, emb = graphs.hyperbolic_ball_net(
+            np.random.default_rng(seed), n=3, radius=radius, spacing=spacing)
+        vertices = [o for o, _ in vertices]
+        edges = [(u, v, d) for (u, _), (v, _), d in edges]
+        embedding = {o: p for (o, _), p in embedding.items()}
+    else:
+        g, emb, _, _ = graphs.rotation_symmetric_net(
+            np.random.default_rng(seed), order=order, n=3, radius=radius, spacing=spacing)
     assert g.vertices == vertices
     assert g.edges == edges
     assert all(np.array_equal(emb[v], embedding[v]) for v in vertices)
