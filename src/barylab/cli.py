@@ -153,6 +153,13 @@ def _build_naturalmap_fixture(spec, seed):
 def cmd_naturalmap(args):
     config = load_json(args.config)
     seed = args.seed
+    key = "s_values" if "s_values" in config else "s_factors"
+    given = config.get(key, [1.1, 1.5, 2.0])
+    if not (isinstance(given, list) and given and all(
+            isinstance(s, (int, float)) and not isinstance(s, bool) and math.isfinite(s)
+            for s in given)):
+        raise ConfigurationError(f"{key} must be a non-empty list of finite numbers, "
+                                 f"not {given!r}")
     if "fixture" in config:
         cover, emb, deck, rot = _build_naturalmap_fixture(config["fixture"], seed)
     else:
@@ -166,12 +173,7 @@ def cmd_naturalmap(args):
     est = volume_entropy(cover, base, ew.get("r_min", 0.8),
                          ew.get("r_max", 1.8), step=ew.get("step", 0.25))
     h_est = config.get("h_override", est.h)
-    if "s_values" in config:
-        s_values = list(config["s_values"])
-    else:
-        s_values = [f * h_est for f in config.get("s_factors", [1.1, 1.5, 2.0])]
-    if not s_values:
-        raise ConfigurationError("naturalmap needs at least one value of s")
+    s_values = list(given) if key == "s_values" else [f * h_est for f in given]
     floor = h_est + 3 * est.residual
     bad = [s for s in s_values if s <= floor]
     if bad:

@@ -23,6 +23,9 @@ from .errors import (
     WindowSaturationError,
 )
 
+# the largest (r_max - r_min) / step that volume_entropy accepts
+MAX_RADII = 10_000
+
 
 def _csr(n, tails):
     """CSR row pointers of half-edges with the given tails, and the order
@@ -234,7 +237,8 @@ def volume_entropy(g: MMGraph, x, r_min: float, r_max: float, step: float = 1.0)
     """Regression estimate of the exponential growth rate of ball masses.
 
     Samples radii r_min, r_min+step, ..., r_max (unit step by default); the
-    step must be finite and positive and leave at least two radii.
+    step must be finite and positive, leave at least two radii and take
+    at most MAX_RADII steps across the window.
     Raises WindowSaturationError when the largest ball already swallows the
     whole graph, in which case the window says nothing about growth.
     """
@@ -242,6 +246,9 @@ def volume_entropy(g: MMGraph, x, r_min: float, r_max: float, step: float = 1.0)
         raise ValueError("window must satisfy inf > r_max > r_min >= 0")
     if not (math.inf > step > 0):
         raise ValueError(f"step must be finite and positive, not {step!r}")
+    if (r_max - r_min) / step > MAX_RADII:
+        raise ValueError(f"step {step!r} asks for more than {MAX_RADII} radii "
+                         f"in [{r_min!r}, {r_max!r}]")
     radii = []
     r = r_min
     while r <= r_max + 1e-12:

@@ -3,10 +3,18 @@
 The optimum of the balanced transportation problem on the complete
 bipartite graph is found with a primal transportation simplex:
 
-- initial basis by the northwest-corner rule,
-- duals recomputed from the spanning tree each pivot,
+- initial basis by the northwest-corner rule;
+- the basis is a spanning tree on sources and sinks, rooted at source 0
+  and kept as labels that each pivot updates (Ahuja, Magnanti and Orlin,
+  Network Flows, 1993, ch. 11): parent, depth and children of each node,
+  and the basic cell and flow joining it to its parent;
+- the cycle of the entering cell is the two tree paths up to their common
+  ancestor; the subtree cut off by the leaving cell is re-hung from the
+  entering cell, and its depths and duals are the only ones recomputed;
+- each dual is the chain of subtractions along its node's path to the
+  root, so the duals equal a full recompute bit for bit;
 - entering cell by Dantzig's rule with pivot tolerance 1e-12, switching to
-  Bland's rule (first eligible cell) if the pivot count suggests cycling,
+  Bland's rule (first eligible cell) if the pivot count suggests cycling;
 - leaving cell by minimum flow with lowest-index tie-breaking, so plans are
   deterministic under degeneracy.
 
@@ -28,9 +36,12 @@ MASS_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class CouplingPlan:
-    """A feasible transport plan: (source index, target index, mass) triples."""
+    """A feasible transport plan: (source index, target index, mass) triples,
+    with the simplex pivots that found it and whether Bland's rule engaged."""
 
     flows: tuple
+    pivots: int = 0
+    bland: bool = False
 
     def cost(self, cost_matrix):
         c = np.asarray(cost_matrix, dtype=float)
@@ -81,22 +92,44 @@ def wasserstein1(mu: DiscreteMeasure, nu: DiscreteMeasure, metric=None, cost=Non
             raise ValueError("either metric or cost must be given")
         cost = cost_matrix_from_metric(mu, nu, metric)
     cost = np.asarray(cost, dtype=float)
-    plan = CouplingPlan(tuple(_transportation_simplex(mu.weights, nu.weights, cost)))
+    flows, pivots, bland = _transportation_simplex(mu.weights, nu.weights, cost)
+    plan = CouplingPlan(tuple(flows), pivots, bland)
     return plan.cost(cost), plan
 
 
-def _northwest_corner(a, b):
-    """Initial basic feasible solution; returns flows dict and basis cell list."""
+def _bland_after(n, m):
+    """Pivot count after which entering cells follow Bland's rule."""
+    return 4 * (n * m + n + m) + 200
+
+
+def _transportation_simplex(a, b, cost):
+    """Optimal flows (i, j, mass > 0) in row-major order, pivot count, Bland flag.
+
+    Tree nodes are sources 0..n-1 and sinks n..n+m-1, rooted at source 0.
+    Each other node hangs from parent[node] by the basic cell with flat
+    (row-major) index up_cell[node], which carries flow up_flow[node];
+    pot holds the duals u, then v.
+    """
     n, m = len(a), len(b)
+    c = cost.reshape(-1)
+    parent = [-1] * (n + m)
+    up_cell = [-1] * (n + m)
+    up_flow = [0.0] * (n + m)
+    depth = [0] * (n + m)
+    children = [[] for _ in range(n + m)]
+    pot = [0.0] * (n + m)
+    # northwest corner: each new basic cell hangs its new node from the
+    # node of the previous cell that it shares
     a_rem = a.copy()
     b_rem = b.copy()
-    basis = []
-    flow = {}
     i = j = 0
+    new, old = n, 0
     while True:
         q = min(a_rem[i], b_rem[j])
-        basis.append((i, j))
-        flow[(i, j)] = q
+        k = i * m + j
+        parent[new], up_cell[new], up_flow[new], depth[new] = old, k, q, depth[old] + 1
+        pot[new] = c.item(k) - pot[old]
+        children[old].append(new)
         a_rem[i] -= q
         b_rem[j] -= q
         if i == n - 1 and j == m - 1:
@@ -104,115 +137,78 @@ def _northwest_corner(a, b):
         # on a tie close only the row, leaving a degenerate basic cell next
         if a_rem[i] <= b_rem[j] and i < n - 1:
             i += 1
+            new, old = i, n + j
         else:
             j += 1
-    return flow, basis
+            new, old = n + j, i
 
-
-def _tree_adjacency(basis, n):
-    adj = {}
-    for i, j in basis:
-        adj.setdefault(i, []).append(("cell", i, j, n + j))
-        adj.setdefault(n + j, []).append(("cell", i, j, i))
-    return adj
-
-
-def _compute_duals(basis, cost, n, m):
-    u = np.full(n, np.nan)
-    v = np.full(m, np.nan)
-    adj = _tree_adjacency(basis, n)
-    u[0] = 0.0
-    stack = [0]
-    seen = {0}
-    while stack:
-        node = stack.pop()
-        for _, i, j, other in adj.get(node, ()):
-            if other in seen:
-                continue
-            if other >= n:
-                v[j] = cost[i, j] - u[i]
-            else:
-                u[i] = cost[i, j] - v[j]
-            seen.add(other)
-            stack.append(other)
-    if np.any(np.isnan(u)) or np.any(np.isnan(v)):
-        raise SolverFailureError("basis tree is disconnected; internal error")
-    return u, v
-
-
-def _tree_path(basis, n, start, goal):
-    """Vertex/cell path between two tree nodes (nodes: sources 0..n-1, sinks n+j)."""
-    adj = _tree_adjacency(basis, n)
-    parent = {start: None}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for _, i, j, other in adj.get(node, ()):
-            if other not in parent:
-                parent[other] = (node, (i, j))
-                stack.append(other)
-    cells = []
-    node = goal
-    while parent[node] is not None:
-        prev, cell = parent[node]
-        cells.append(cell)
-        node = prev
-    cells.reverse()
-    return cells
-
-
-def _transportation_simplex(a, b, cost):
-    """Optimal flows (i, j, mass > 0) in row-major order."""
-    n, m = len(a), len(b)
-    flow, basis = _northwest_corner(a, b)
     pivot_limit = 20 * (n * m + n + m) + 1000
-    bland_after = 4 * (n * m + n + m) + 200
+    bland_after = _bland_after(n, m)
     pivots = 0
-    basis_set = set(basis)
+    reduced = np.empty((n, m))
+    flat_reduced = reduced.reshape(-1)
     while True:
-        u, v = _compute_duals(basis, cost, n, m)
-        reduced = cost - u[:, None] - v[None, :]
-        for i, j in basis:
-            reduced[i, j] = 0.0
+        p = np.array(pot)
+        np.subtract(cost, p[:n, None], out=reduced)
+        np.subtract(reduced, p[None, n:], out=reduced)
+        flat_reduced[up_cell[1:]] = 0.0
         if pivots < bland_after:
-            flat = int(np.argmin(reduced))
-            ei, ej = divmod(flat, m)
-            if reduced[ei, ej] >= -PIVOT_TOL:
+            entering = int(flat_reduced.argmin())
+            if flat_reduced[entering] >= -PIVOT_TOL:
                 break
         else:
             # Bland's rule: first cell (row-major) with negative reduced cost
-            neg = np.argwhere(reduced < -PIVOT_TOL)
-            if len(neg) == 0:
+            negative = flat_reduced < -PIVOT_TOL
+            entering = int(negative.argmax())
+            if not negative[entering]:
                 break
-            ei, ej = map(int, neg[0])
-        # cycle: entering cell + tree path from its source node to its sink node
-        path_cells = _tree_path(basis, n, ei, n + ej)
-        # orientation: entering (ei,ej) is +; walking the tree path back from
-        # sink to source alternates -, +, -, ...
-        signs = {}
-        sign = -1.0
-        for cell in reversed(path_cells):
-            signs[cell] = sign
-            sign = -sign
-        minus_cells = [c for c, s in signs.items() if s < 0]
-        theta = min(flow[c] for c in minus_cells)
-        leaving = min(c for c in minus_cells if flow[c] == theta)
-        for c, s in signs.items():
-            flow[c] += s * theta
-        flow[(ei, ej)] = theta
-        flow[leaving] = 0.0
-        del flow[leaving]
-        basis_set.remove(leaving)
-        basis_set.add((ei, ej))
-        basis = sorted(basis_set)
+        ei, ej = divmod(entering, m)
+        # cycle: the entering cell and the tree paths from its two ends up to
+        # their common ancestor; the t-th cell from either end has sign -
+        # for even t, so both end cells are -
+        sides = ([], [])
+        ends = [ei, n + ej]
+        while ends[0] != ends[1]:
+            s = 0 if depth[ends[0]] >= depth[ends[1]] else 1
+            sides[s].append(ends[s])
+            ends[s] = parent[ends[s]]
+        theta = None
+        for s, side in enumerate(sides):
+            for x in side[::2]:
+                f, k = up_flow[x], up_cell[x]
+                if theta is None or f < theta or (f == theta and k < leaving):
+                    theta, leaving, cut, cut_side = f, k, x, s
+        for side in sides:
+            for t, x in enumerate(side):
+                up_flow[x] += theta if t % 2 else -theta
+        # re-hang the subtree below the leaving cell from the other end of
+        # the entering cell, reversing parent pointers up to the cut; each
+        # node on that path takes over the cell (and flow) below it
+        top, new_parent = (ei, n + ej) if cut_side == 0 else (n + ej, ei)
+        x, k, f = top, entering, theta
+        while True:
+            old = parent[x]
+            children[old].remove(x)
+            children[new_parent].append(x)
+            parent[x], up_cell[x], up_flow[x], k, f = new_parent, k, f, up_cell[x], up_flow[x]
+            if x == cut:
+                break
+            new_parent, x = x, old
+        # depths and duals change only on the re-hung subtree
+        stack = [top]
+        while stack:
+            x = stack.pop()
+            y = parent[x]
+            depth[x] = depth[y] + 1
+            pot[x] = c.item(up_cell[x]) - pot[y]
+            stack.extend(children[x])
         pivots += 1
         if pivots > pivot_limit:
             raise SolverFailureError(
                 f"transportation simplex exceeded {pivot_limit} pivots", iterations=pivots
             )
-    return [(i, j, q) for (i, j), q in sorted(flow.items()) if q > 0.0]
+    flows = sorted((k, f) for k, f in zip(up_cell[1:], up_flow[1:]) if f > 0.0)
+    return [(*divmod(k, m), np.float64(f)) for k, f in flows], pivots, pivots >= bland_after
 
 
 def brute_force_w1(mu: DiscreteMeasure, nu: DiscreteMeasure, cost):

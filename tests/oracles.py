@@ -2,13 +2,15 @@
 
 Each oracle avoids the code path it checks: the barycenter oracle does grid
 search over a tangent chart (no gradient descent), the Wasserstein oracles
-enumerate unit assignments or hand the linear program to HiGHS (no
-transportation simplex), the entropy oracle uses closed-form sphere counts
-on regular trees, the shortest-path oracle is a binary-heap Dijkstra over
-the edge list, the source-gradient oracle loops over atoms and fibers with
-distance dicts, the rotation-net oracle builds the fixture one sample and
-one orbit pair at a time, and the deck oracle tries every permutation of
-the sheets against the whole monodromy group.
+enumerate unit assignments, hand the linear program to HiGHS (no
+transportation simplex) or run a simplex that rebuilds its basis tree at
+every pivot (no tree code shared with `transport.py`), the entropy oracle
+uses closed-form sphere counts on regular trees, the shortest-path oracle
+is a binary-heap Dijkstra over the edge list, the source-gradient oracle
+loops over atoms and fibers with distance dicts, the rotation-net oracle
+builds the fixture one sample and one orbit pair at a time, and the deck
+oracle tries every permutation of the sheets against the whole monodromy
+group.
 """
 
 import heapq
@@ -18,6 +20,7 @@ import math
 import numpy as np
 
 from barylab import hyperboloid as hyp
+from barylab.transport import PIVOT_TOL
 
 
 def grid_barycenter_objective(nu, resolution=2e-4):
@@ -140,6 +143,144 @@ def lp_w1(a, b, cost):
     if res.status != 0:
         raise RuntimeError(f"LP oracle failed: {res.message}")
     return float(res.fun)
+
+
+def rebuild_simplex(a, b, cost, bland_after=None):
+    """Transportation simplex that rebuilds its basis tree at every pivot.
+
+    The same northwest-corner start, Dantzig entering rule with PIVOT_TOL,
+    switch to Bland's rule after `bland_after` pivots (None: 4(nm+n+m)+200)
+    and lowest-index leaving rule as `barylab.transport`, but duals and
+    cycles come from a dict-of-lists tree built from the sorted basis each
+    pivot.  Returns (flows (i, j, mass > 0) in row-major order, pivots,
+    whether Bland's rule engaged).
+    """
+    n, m = len(a), len(b)
+    flow, basis = _northwest_corner(a, b)
+    pivot_limit = 20 * (n * m + n + m) + 1000
+    if bland_after is None:
+        bland_after = 4 * (n * m + n + m) + 200
+    pivots = 0
+    basis_set = set(basis)
+    while True:
+        u, v = _compute_duals(basis, cost, n, m)
+        reduced = cost - u[:, None] - v[None, :]
+        for i, j in basis:
+            reduced[i, j] = 0.0
+        if pivots < bland_after:
+            flat = int(np.argmin(reduced))
+            ei, ej = divmod(flat, m)
+            if reduced[ei, ej] >= -PIVOT_TOL:
+                break
+        else:
+            # Bland's rule: first cell (row-major) with negative reduced cost
+            neg = np.argwhere(reduced < -PIVOT_TOL)
+            if len(neg) == 0:
+                break
+            ei, ej = map(int, neg[0])
+        # cycle: entering cell + tree path from its source node to its sink node
+        path_cells = _tree_path(basis, n, ei, n + ej)
+        # orientation: entering (ei,ej) is +; walking the tree path back from
+        # sink to source alternates -, +, -, ...
+        signs = {}
+        sign = -1.0
+        for cell in reversed(path_cells):
+            signs[cell] = sign
+            sign = -sign
+        minus_cells = [c for c, s in signs.items() if s < 0]
+        theta = min(flow[c] for c in minus_cells)
+        leaving = min(c for c in minus_cells if flow[c] == theta)
+        for c, s in signs.items():
+            flow[c] += s * theta
+        flow[(ei, ej)] = theta
+        flow[leaving] = 0.0
+        del flow[leaving]
+        basis_set.remove(leaving)
+        basis_set.add((ei, ej))
+        basis = sorted(basis_set)
+        pivots += 1
+        if pivots > pivot_limit:
+            raise RuntimeError(f"rebuild simplex exceeded {pivot_limit} pivots")
+    flows = [(i, j, q) for (i, j), q in sorted(flow.items()) if q > 0.0]
+    return flows, pivots, pivots >= bland_after
+
+
+def _northwest_corner(a, b):
+    """Initial basic feasible solution; returns flows dict and basis cell list."""
+    n, m = len(a), len(b)
+    a_rem = a.copy()
+    b_rem = b.copy()
+    basis = []
+    flow = {}
+    i = j = 0
+    while True:
+        q = min(a_rem[i], b_rem[j])
+        basis.append((i, j))
+        flow[(i, j)] = q
+        a_rem[i] -= q
+        b_rem[j] -= q
+        if i == n - 1 and j == m - 1:
+            break
+        # on a tie close only the row, leaving a degenerate basic cell next
+        if a_rem[i] <= b_rem[j] and i < n - 1:
+            i += 1
+        else:
+            j += 1
+    return flow, basis
+
+
+def _tree_adjacency(basis, n):
+    adj = {}
+    for i, j in basis:
+        adj.setdefault(i, []).append(("cell", i, j, n + j))
+        adj.setdefault(n + j, []).append(("cell", i, j, i))
+    return adj
+
+
+def _compute_duals(basis, cost, n, m):
+    u = np.full(n, np.nan)
+    v = np.full(m, np.nan)
+    adj = _tree_adjacency(basis, n)
+    u[0] = 0.0
+    stack = [0]
+    seen = {0}
+    while stack:
+        node = stack.pop()
+        for _, i, j, other in adj.get(node, ()):
+            if other in seen:
+                continue
+            if other >= n:
+                v[j] = cost[i, j] - u[i]
+            else:
+                u[i] = cost[i, j] - v[j]
+            seen.add(other)
+            stack.append(other)
+    if np.any(np.isnan(u)) or np.any(np.isnan(v)):
+        raise RuntimeError("basis tree is disconnected")
+    return u, v
+
+
+def _tree_path(basis, n, start, goal):
+    """Vertex/cell path between two tree nodes (nodes: sources 0..n-1, sinks n+j)."""
+    adj = _tree_adjacency(basis, n)
+    parent = {start: None}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            break
+        for _, i, j, other in adj.get(node, ()):
+            if other not in parent:
+                parent[other] = (node, (i, j))
+                stack.append(other)
+    cells = []
+    node = goal
+    while parent[node] is not None:
+        prev, cell = parent[node]
+        cells.append(cell)
+        node = prev
+    cells.reverse()
+    return cells
 
 
 def heap_dijkstra(g, source, cutoff=None):

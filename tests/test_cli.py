@@ -229,6 +229,12 @@ OFF_SHEET_SITES = ('{"atoms": [{"site": [1.1, 0.3, 0, 0], "w": 1}, '
     pytest.param(["naturalmap", "IN"], small_naturalmap(s_values=[]), id="naturalmap-empty-s-values"),
     pytest.param(["naturalmap", "IN"], small_naturalmap(s_factors=[]),
                  id="naturalmap-empty-s-factors"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(s_values=3.0),
+                 id="naturalmap-s-values-number"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(s_values="abc"),
+                 id="naturalmap-s-values-string"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(s_factors=2.0),
+                 id="naturalmap-s-factors-number"),
     pytest.param(["indices", "IN", "--samples", "0"], '{"fixture": {"type": "torus_cover"}}',
                  id="indices-no-samples"),
     pytest.param(["coarea", "IN", "--samples", "0"], '{"fixture": {"type": "torus_cover"}}',

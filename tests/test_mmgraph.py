@@ -115,6 +115,13 @@ def test_volume_entropy_rejects_windows_without_two_radii(r_max, step):
         volume_entropy(graphs.regular_tree(3, 8), 0, 2, r_max, step=step)
 
 
+@pytest.mark.parametrize("step", [1e-20, 1e-12])
+def test_volume_entropy_rejects_steps_past_the_radius_cap(step):
+    # r += 1e-20 leaves r at 2.0, and 1e-12 would ask for 3e12 radii
+    with pytest.raises(ValueError, match="radii"):
+        volume_entropy(graphs.regular_tree(3, 8), 0, 2, 5, step=step)
+
+
 def test_volume_entropy_saturation_error():
     g = graphs.path_graph(30)
     with pytest.raises(WindowSaturationError):

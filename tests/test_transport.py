@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from barylab import hyperboloid as hyp
+from barylab import transport
 from barylab.errors import EmptyMeasureError, NonFiniteInputError, UnbalancedMeasuresError
 from barylab.measures import DiscreteMeasure
 from barylab.transport import brute_force_w1, wasserstein1
 
-from oracles import lp_w1
+from oracles import lp_w1, rebuild_simplex
 
 RNG = np.random.default_rng(7)
 
@@ -219,3 +221,71 @@ def test_plan_cost_equals_reported_cost():
         value, plan = wasserstein1(mu, nu, cost=cost)
         assert plan.cost(cost) == pytest.approx(value, abs=1e-12)
         plan.validate(mu, nu)
+
+
+def simplex_instance(rng, n, m, weights, costs):
+    """Weights and costs that force degenerate ties: "uniform" 1/k weights,
+    "unit" integer multiples of 1/8 with equal totals, or "random"; costs
+    are H^3 distances or, for "integer", integers 0..4."""
+    if weights == "uniform":
+        a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+    elif weights == "unit":
+        a, b = rng.integers(1, 6, n).astype(float), rng.integers(1, 6, m).astype(float)
+        (a if a.sum() < b.sum() else b)[-1] += abs(a.sum() - b.sum())
+        a, b = a / 8, b / 8
+    else:
+        a, b = rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, m)
+        a, b = a / a.sum(), b / b.sum()
+    if costs == "integer":
+        cost = rng.integers(0, 5, (n, m)).astype(float)
+    else:
+        x = np.array([hyp.random_point(rng, 3, 1.5) for _ in range(n)])
+        y = np.array([hyp.random_point(rng, 3, 1.5) for _ in range(m)])
+        cost = hyp.dist(x[:, None], y[None])
+    return a, b, cost
+
+
+def assert_same_plan(a, b, cost):
+    mu = DiscreteMeasure(list(range(len(a))), a)
+    nu = DiscreteMeasure(list(range(len(b))), b)
+    value, plan = wasserstein1(mu, nu, cost=cost)
+    flows, pivots, bland = rebuild_simplex(a, b, cost)
+    assert plan.flows == tuple(flows)
+    assert (plan.pivots, plan.bland) == (pivots, bland)
+    assert value == plan.cost(cost)
+    assert all(type(i) is int and type(j) is int and type(q) is np.float64
+               for i, j, q in plan.flows)
+
+
+# the tree-label simplex must return the plan of the simplex that rebuilds
+# its tree every pivot: equal flows (==, not approx) and equal pivot counts
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40),
+       st.sampled_from(["uniform", "unit", "random"]), st.sampled_from(["hyperbolic", "integer"]))
+def test_simplex_plan_equals_rebuild_oracle(seed, n, m, weights, costs):
+    rng = np.random.default_rng(seed)
+    assert_same_plan(*simplex_instance(rng, n, m, weights, costs))
+
+
+@pytest.mark.parametrize("n, m, weights", [(100, 100, "random"), (150, 90, "uniform")])
+def test_simplex_plan_equals_rebuild_oracle_at_benchmark_sizes(n, m, weights):
+    rng = np.random.default_rng(n * m)
+    assert_same_plan(*simplex_instance(rng, n, m, weights, "hyperbolic"))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bland_rule_plan_equals_rebuild_oracle(seed, monkeypatch):
+    # Bland's rule starts after _bland_after(n, m) pivots, which no instance
+    # here reaches; at 0 it picks every entering cell
+    monkeypatch.setattr(transport, "_bland_after", lambda n, m: 0)
+    rng = np.random.default_rng(300 + seed)
+    n, m = int(rng.integers(2, 16)), int(rng.integers(2, 16))
+    a, b, cost = simplex_instance(rng, n, m, ["uniform", "unit"][seed % 2],
+                                  ["integer", "hyperbolic"][seed // 2 % 2])
+    value, plan = wasserstein1(DiscreteMeasure(list(range(n)), a),
+                               DiscreteMeasure(list(range(m)), b), cost=cost)
+    flows, pivots, bland = rebuild_simplex(a, b, cost, bland_after=0)
+    assert plan.flows == tuple(flows)
+    assert plan.pivots == pivots
+    assert plan.bland and bland
+    assert abs(value - lp_w1(a, b, cost)) <= 1e-9 * max(value, 1.0)
