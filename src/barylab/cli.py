@@ -150,16 +150,21 @@ def _build_naturalmap_fixture(spec, seed):
     raise ValueError(f"unknown naturalmap fixture type {kind!r}")
 
 
+def _finite_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def cmd_naturalmap(args):
     config = load_json(args.config)
     seed = args.seed
     key = "s_values" if "s_values" in config else "s_factors"
     given = config.get(key, [1.1, 1.5, 2.0])
-    if not (isinstance(given, list) and given and all(
-            isinstance(s, (int, float)) and not isinstance(s, bool) and math.isfinite(s)
-            for s in given)):
+    if not (isinstance(given, list) and given and all(map(_finite_number, given))):
         raise ConfigurationError(f"{key} must be a non-empty list of finite numbers, "
                                  f"not {given!r}")
+    if "h_override" in config and not _finite_number(config["h_override"]):
+        raise ConfigurationError(
+            f"h_override must be a finite number, not {config['h_override']!r}")
     if "fixture" in config:
         cover, emb, deck, rot = _build_naturalmap_fixture(config["fixture"], seed)
     else:

@@ -1,6 +1,12 @@
 """Graph fixtures: trees, paths, cycles, roses, cage graphs and epsilon-nets
 of hyperbolic balls (with an optional rotational symmetry giving an exact
 deck action paired with a target isometry).
+
+Both nets come from one greedy construction, `_orbit_net`.  Every
+distance test it makes, for acceptance and for edges, goes through one pair
+search, `_pairs_within`, which buckets points in a grid of Poincare-ball
+cells so that a point meets only its neighbours; `hyp.dist` decides each
+pair.
 """
 
 from __future__ import annotations
@@ -83,26 +89,6 @@ def heawood_graph(edge_length: float = 1.0) -> MMGraph:
 # hyperbolic ball nets
 # ---------------------------------------------------------------------------
 
-def _closer_than(points, others, spacing):
-    """Whether some row of `points` lies closer than `spacing` to some row of
-    `others`, as `hyp.dist_many` measures it, row by row with early exit.
-
-    dist_many runs only on the rows q of `others` with -<p, q>_M within
-    cosh(spacing) + 1e-9 * p0 * q0.  Any q that dist_many puts closer than
-    `spacing` passes: -<p, q>_M is cosh of the distance, and both sides
-    carry rounding of order 1e-15 * p0 * q0.  So the answer is the one
-    dist_many gives on all of `others`.
-    """
-    flip = np.ones(points.shape[-1])
-    flip[0] = -1.0
-    for p in points:
-        mink = others @ (p * flip)
-        near = others[mink >= -(math.cosh(spacing) + 1e-9 * p[0] * others[:, 0])]
-        if len(near) and np.min(hyp.dist_many(p, near)) < spacing:
-            return True
-    return False
-
-
 def ball_volume(n, radius):
     """Volume of a radius-R ball in H^n (unit-sphere area times sinh integral)."""
     omega = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
@@ -114,19 +100,22 @@ def _sample_ball(rng, n, radius, count):
     """Points roughly uniform in a hyperbolic ball: sinh^(n-1) radial law.
 
     The draws are made one point at a time (a direction, then a radius), so
-    the stream of random numbers does not depend on `count`; the
-    exponential map is then applied to the whole batch, with cosh and sinh
-    taken from libm element by element.
+    the stream of random numbers does not depend on `count`; the inverse
+    CDF and the exponential map are then applied to the whole batch, with
+    cosh and sinh taken from libm element by element.
     """
     vel = np.zeros((count, n + 1))
+    level = np.empty(count)
     grid = np.linspace(0, radius, 4096)
     density = np.sinh(grid) ** (n - 1)
     cdf = np.cumsum(density)
     cdf /= cdf[-1]
     for i in range(count):
         u = rng.normal(size=n)
-        u /= np.linalg.norm(u)
-        vel[i, 1:] = float(np.interp(rng.uniform(), cdf, grid)) * u
+        # the Euclidean norm as np.linalg.norm takes it: sqrt of u.dot(u)
+        vel[i, 1:] = u / math.sqrt(u.dot(u))
+        level[i] = rng.uniform()
+    vel[:, 1:] *= np.interp(level, cdf, grid)[:, None]
     # hyp.exp at the basepoint o: cosh(theta) o + (sinh(theta) / theta) v
     theta = np.sqrt(np.maximum(hyp.minkowski_dot(vel, vel), 0.0))
     vel *= np.fromiter((math.sinh(t) / t if t >= 1e-300 else 0.0 for t in theta.tolist()),
@@ -135,16 +124,56 @@ def _sample_ball(rng, n, radius, count):
     return hyp.project_to_sheet(vel)
 
 
-def _close_pairs(rows, points, threshold):
-    """(i, j, d) for every d = dist(rows[i], points[j]) <= threshold, in
-    row-major order, from distance blocks of a few rows at a time."""
-    # ~4096 pairs keep each temporary near 128 KB; larger blocks made the
-    # resident set grow from one fixture build to the next
-    block = max(1, 4096 // len(points))
-    for lo in range(0, len(rows), block):
-        d = hyp.dist_many(rows[lo:lo + block, None, :], points)
-        i, j = np.nonzero(d <= threshold)
-        yield from zip((i + lo).tolist(), j.tolist(), d[i, j].tolist())
+def _pairs_within(a, b, threshold):
+    """(i, j, d) arrays, in row-major order, of every d = hyp.dist(a[i], b[j])
+    with d <= threshold.
+
+    Candidates come from a grid on Poincare-ball coordinates
+    u = x[1:] / (1 + x0).  The metric there is 2|du| / (1 - |u|^2) >= 2|du|,
+    so |u_p - u_q| <= d(p, q) / 2: a pair within `threshold` lies in one cell
+    or in adjacent cells of side threshold / 2 (widened by 1e-9 of itself),
+    and hyp.dist decides among the pairs of neighbouring cells.
+    """
+    n = a.shape[1] - 1
+    if len(a) == 0 or len(b) == 0:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
+    # cells no smaller than 4 / 2**(62 // n) keep the integer keys in int64
+    side = max(0.5 * threshold * (1 + 1e-9), 4.0 / 2.0 ** (62 // n))
+    cell_a = np.floor(a[:, 1:] / (1 + a[:, :1]) / side).astype(np.int64)
+    cell_b = np.floor(b[:, 1:] / (1 + b[:, :1]) / side).astype(np.int64)
+    # one key per cell, with a free layer of cells around every axis so that
+    # the 3^n neighbours of a cell never wrap into another row of the grid
+    low = np.minimum(cell_a.min(axis=0), cell_b.min(axis=0)) - 1
+    span = np.maximum(cell_a.max(axis=0), cell_b.max(axis=0)) - low + 2
+    weight = np.cumprod(np.concatenate(([1], span[:-1])))
+    key_a = (cell_a - low) @ weight
+    key_b = (cell_b - low) @ weight
+    steps = (np.indices((3,) * n).reshape(n, -1).T - 1) @ weight
+    by_key = np.argsort(key_b, kind="stable")
+    sorted_keys = key_b[by_key]
+    cells = key_a[:, None] + steps
+    start = np.searchsorted(sorted_keys, cells, side="left")
+    count = np.searchsorted(sorted_keys, cells, side="right") - start
+    per_row = count.sum(axis=1)
+    reached = np.cumsum(per_row)
+    found = []
+    # blocks of whole rows holding about 4096 candidate pairs keep the
+    # temporaries near 128 KB; larger ones raised the peak resident set
+    lo = 0
+    while lo < len(a):
+        base = reached[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(reached, base + 4096, side="right")))
+        c, s = count[lo:hi].ravel(), start[lo:hi].ravel()
+        # positions s .. s + c - 1 of every cell, cell after cell
+        pos = np.arange(c.sum()) + np.repeat(s - np.cumsum(c) + c, c)
+        i = np.repeat(np.arange(lo, hi), per_row[lo:hi])
+        j = by_key[pos]
+        d = hyp.dist(a[i], b[j])
+        hit = np.flatnonzero(d <= threshold)
+        hit = hit[np.lexsort((j[hit], i[hit]))]
+        found.append((i[hit], j[hit], d[hit]))
+        lo = hi
+    return tuple(np.concatenate(col) for col in zip(*found))
 
 
 def _rotate(rot, points):
@@ -157,9 +186,24 @@ def _rotate(rot, points):
     return out
 
 
+# A candidate whose step 0 lies this little beyond `spacing` from the kept
+# points has its whole orbit measured; the rounding that separates
+# d(rot^k p, K) from d(p, K) is of order 1e-14.
+_ORBIT_BAND = 1e-9
+
+
 def _orbit_net(rng, order, n, radius, spacing, edge_factor, oversample):
     """Greedy net of a hyperbolic ball made of orbits of the rotation `rot`
     by 2*pi/order in the last two coordinates.
+
+    Samples are taken in order; an orbit is kept when it is spacing-separated
+    from itself and from every orbit kept before it.  The kept set K is a
+    union of whole orbits, so d(rot^k p, K) = d(p, K) up to rounding and only
+    step 0 of a candidate is measured against K; the whole orbit is measured
+    only where that distance lies within `_ORBIT_BAND` above `spacing`.  Per
+    batch of samples, `_pairs_within` finds the kept points near each
+    candidate and the conflicts among the candidates, which a sequential
+    greedy pass then settles.
 
     Returns (orbits, edges, rot): the (m, order, n+1) orbit points and the
     edges within edge_factor * spacing on (orbit, step) ids.
@@ -167,32 +211,50 @@ def _orbit_net(rng, order, n, radius, spacing, edge_factor, oversample):
     rot = hyp.rotation(2 * math.pi / order, n, i=n - 1, j=n)
     target = max(200, int(oversample * ball_volume(n, radius) / spacing**n / order))
     samples = _sample_ball(rng, n, radius, target)
-    # orbit representatives kept, in sample order, when the whole orbit is
-    # spacing-separated from itself and from every orbit kept before it
     kept = np.empty((64, order, n + 1))
     filled = 0
     upper = np.triu(np.ones((order, order), dtype=bool), 1)
+    reach = spacing + _ORBIT_BAND
     for lo in range(0, len(samples), 1024):
         batch = np.empty((min(1024, len(samples) - lo), order, n + 1))
         batch[:, 0] = samples[lo:lo + 1024]
         for k in range(1, order):
             batch[:, k] = hyp.project_to_sheet(_rotate(rot, batch[:, k - 1]))
         internal = hyp.dist_many(batch[:, :, None, :], batch[:, None, :, :])
-        separated = np.all(internal[:, upper] >= spacing, axis=1)
-        for orbit in batch[separated]:
-            if filled and _closer_than(orbit, kept[:filled].reshape(-1, n + 1), spacing):
+        cand = batch[np.all(internal[:, upper] >= spacing, axis=1)]
+        # distance from step 0 to the nearest orbit kept before the batch
+        # (inf beyond reach); those closer than spacing are out for good
+        nearest = np.full(len(cand), np.inf)
+        i, _, d = _pairs_within(cand[:, 0], kept[:filled].reshape(-1, n + 1), reach)
+        np.minimum.at(nearest, i, d)
+        alive = nearest >= spacing
+        cand, nearest = cand[alive], nearest[alive]
+        # step 0 of each candidate against every step of the others, read in
+        # sample order against the candidates kept so far
+        i, j, d = _pairs_within(cand[:, 0], cand.reshape(-1, n + 1), reach)
+        j //= order
+        bounds = np.searchsorted(i, np.arange(len(cand) + 1)).tolist()
+        taken = np.zeros(len(cand), dtype=bool)
+        for c, orbit in enumerate(cand):
+            near = d[bounds[c]:bounds[c + 1]][taken[j[bounds[c]:bounds[c + 1]]]]
+            dmin = min(nearest[c], near.min(initial=np.inf))
+            if dmin < spacing:
+                continue
+            if dmin < reach and np.min(hyp.dist(
+                    orbit[:, None, :], kept[:filled].reshape(-1, n + 1))) < spacing:
                 continue
             if filled == len(kept):
                 kept = np.concatenate([kept, np.empty_like(kept)])
             kept[filled] = orbit
             filled += 1
+            taken[c] = True
     orbits = kept[:filled]
-    del samples, batch, internal
+    del samples, batch, internal, cand
     # representative edges computed once per orbit pair, then rotated, so the
     # edge set and lengths are exactly invariant under the step shift
     edges = []
-    for o1, col, d in _close_pairs(orbits[:, 0], orbits.reshape(-1, n + 1),
-                                   edge_factor * spacing):
+    pairs = _pairs_within(orbits[:, 0], orbits.reshape(-1, n + 1), edge_factor * spacing)
+    for o1, col, d in zip(*(column.tolist() for column in pairs)):
         o2, s = divmod(col, order)
         if o2 < o1:
             continue

@@ -134,8 +134,9 @@ def _transportation_simplex(a, b, cost):
         b_rem[j] -= q
         if i == n - 1 and j == m - 1:
             break
-        # on a tie close only the row, leaving a degenerate basic cell next
-        if a_rem[i] <= b_rem[j] and i < n - 1:
+        # on a tie close only the row, leaving a degenerate basic cell next;
+        # past the last column (masses equal only within MASS_RTOL) go down
+        if (a_rem[i] <= b_rem[j] or j == m - 1) and i < n - 1:
             i += 1
             new, old = i, n + j
         else:

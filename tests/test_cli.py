@@ -235,6 +235,12 @@ OFF_SHEET_SITES = ('{"atoms": [{"site": [1.1, 0.3, 0, 0], "w": 1}, '
                  id="naturalmap-s-values-string"),
     pytest.param(["naturalmap", "IN"], small_naturalmap(s_factors=2.0),
                  id="naturalmap-s-factors-number"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(h_override="abc"),
+                 id="naturalmap-h-override-string"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(h_override=float("nan")),
+                 id="naturalmap-h-override-nan"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(h_override=[1.0]),
+                 id="naturalmap-h-override-list"),
     pytest.param(["indices", "IN", "--samples", "0"], '{"fixture": {"type": "torus_cover"}}',
                  id="indices-no-samples"),
     pytest.param(["coarea", "IN", "--samples", "0"], '{"fixture": {"type": "torus_cover"}}',

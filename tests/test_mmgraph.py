@@ -364,25 +364,84 @@ def test_dijkstra_matches_heap_oracle_on_rotation_net():
             assert list(got.items()) == list(heap_dijkstra(g, source, cutoff=cutoff).items())
 
 
-@pytest.mark.parametrize("seed, order, radius, spacing",
-                         [(7, 3, 1.3, 0.45), (6, 4, 1.5, 0.45), (5, 1, 1.5, 0.45),
-                          (7, 1, 1.3, 0.45)])
-def test_rotation_net_matches_scalar_builder(seed, order, radius, spacing):
+def assert_net_matches_scalar_oracle(seed, order, radius, spacing):
+    shape = dict(n=3, radius=radius, spacing=spacing)
     vertices, edges, embedding = scalar_rotation_net(
-        np.random.default_rng(seed), order=order, n=3, radius=radius, spacing=spacing)
+        np.random.default_rng(seed), order=order, **shape)
     if order == 1:
         # the ball net is the order-1 rotation net with vertex (o, 0) named o
-        g, emb = graphs.hyperbolic_ball_net(
-            np.random.default_rng(seed), n=3, radius=radius, spacing=spacing)
+        g, emb = graphs.hyperbolic_ball_net(np.random.default_rng(seed), **shape)
         vertices = [o for o, _ in vertices]
         edges = [(u, v, d) for (u, _), (v, _), d in edges]
         embedding = {o: p for (o, _), p in embedding.items()}
     else:
         g, emb, _, _ = graphs.rotation_symmetric_net(
-            np.random.default_rng(seed), order=order, n=3, radius=radius, spacing=spacing)
+            np.random.default_rng(seed), order=order, **shape)
     assert g.vertices == vertices
     assert g.edges == edges
     assert all(np.array_equal(emb[v], embedding[v]) for v in vertices)
+
+
+# radius 2.3-2.4 puts the net out where the Poincare cells of the pair search
+# are compressed most (|u| up to tanh(1.2) ~ 0.83)
+@pytest.mark.parametrize("seed, order, radius, spacing",
+                         [(7, 3, 1.3, 0.45), (6, 4, 1.5, 0.45), (5, 1, 1.5, 0.45),
+                          (7, 1, 1.3, 0.45), (3, 4, 2.4, 0.8), (3, 1, 2.3, 1.0)])
+def test_rotation_net_matches_scalar_builder(seed, order, radius, spacing):
+    assert_net_matches_scalar_oracle(seed, order, radius, spacing)
+
+
+@pytest.mark.parametrize("seed, order", [(7, 3), (6, 4)])
+def test_rotation_net_matches_scalar_oracle_with_wide_band(seed, order, monkeypatch):
+    # a band of 0.05 sends many candidates to the whole-orbit test, which
+    # must reach the same net as measuring step 0 alone
+    monkeypatch.setattr(graphs, "_ORBIT_BAND", 0.05)
+    whole_orbit = []
+    dist = hyp.dist
+
+    def spy(p, q):
+        if np.ndim(p) == 3:
+            whole_orbit.append(len(p))
+        return dist(p, q)
+
+    monkeypatch.setattr(graphs.hyp, "dist", spy)
+    assert_net_matches_scalar_oracle(seed, order, 1.5, 0.45)
+    assert len(whole_orbit) >= 10 and set(whole_orbit) == {order}
+
+
+@st.composite
+def pair_search_inputs(draw):
+    """Points out to radius 3 in H^2 or H^3, a threshold in [0.05, 1], and
+    some points of `b` placed within 1e-12 of the threshold from a point of
+    `a`; `b` is `a` itself when `same`."""
+    n = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    threshold = draw(st.floats(0.05, 1.0))
+    a = np.array([hyp.random_point(rng, n, 3.0) for _ in range(draw(st.integers(1, 80)))])
+    if draw(st.booleans()):
+        return a, a, threshold
+    b = [hyp.random_point(rng, n, 3.0) for _ in range(draw(st.integers(1, 80)))]
+    for _ in range(draw(st.integers(0, 20))):
+        p = a[rng.integers(len(a))]
+        v = hyp.tangent_project(p, rng.normal(size=n + 1))
+        v /= math.sqrt(hyp.minkowski_dot(v, v))
+        b.append(hyp.exp(p, (threshold + draw(st.floats(-1e-12, 1e-12))) * v))
+    b = np.array(b)
+    if draw(st.booleans()):
+        # a threshold equal to one of the distances tests d == threshold
+        threshold = float(hyp.dist(a[0], b[-1]))
+    return a, b, threshold
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pair_search_inputs())
+def test_pairs_within_matches_all_pairs(inputs):
+    a, b, threshold = inputs
+    i, j, d = graphs._pairs_within(a, b, threshold)
+    full = hyp.dist_many(a[:, None, :], b)
+    ei, ej = np.nonzero(full <= threshold)
+    assert list(zip(i.tolist(), j.tolist())) == list(zip(ei.tolist(), ej.tolist()))
+    assert d.tobytes() == full[ei, ej].tobytes()
 
 
 def test_ball_net_edges_are_all_close_pairs():

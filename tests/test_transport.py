@@ -257,6 +257,21 @@ def assert_same_plan(a, b, cost):
                for i, j, q in plan.flows)
 
 
+# masses equal only within MASS_RTOL: the northwest corner reaches the last
+# column with rows left and must go down them, not past the column
+@pytest.mark.parametrize("a, b, cost, expected", [
+    ([1.0, 1e-10, 1e-10], [1.0], np.ones((3, 1)), 1.0),
+    ([0.5, 0.5 + 1e-10, 1e-10], [0.5, 0.5], np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
+     0.0),
+])
+def test_northwest_corner_with_rows_left_at_the_last_column(a, b, cost, expected):
+    value, plan = wasserstein1(DiscreteMeasure(list(range(len(a))), a),
+                               DiscreteMeasure(list(range(len(b))), b), cost=cost)
+    assert value == pytest.approx(expected, abs=1e-9)
+    assert value == plan.cost(cost)
+    assert all(q >= 0 for _, _, q in plan.flows)
+
+
 # the tree-label simplex must return the plan of the simplex that rebuilds
 # its tree every pivot: equal flows (==, not approx) and equal pivot counts
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
