@@ -154,6 +154,23 @@ def _finite_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def _check_naturalmap_numbers(config):
+    """ConfigurationError unless each numeric field a naturalmap config sets,
+    at the top level, in "entropy" or in "fixture", is a finite number."""
+    ew = config.get("entropy", {})
+    if not isinstance(ew, dict):
+        raise ConfigurationError(f"entropy must be a JSON object, not {ew!r}")
+    fixture = config.get("fixture", {})
+    fields = [(k, config) for k in ("truncation_radius", "tail_tolerance", "mesh_radius",
+                                    "h_override")]
+    fields += [(k, ew) for k in ("r_min", "r_max", "step")]
+    if isinstance(fixture, dict):
+        fields += [(k, fixture) for k in ("dim", "radius", "spacing", "edge_factor", "order")]
+    for key, table in fields:
+        if key in table and not _finite_number(table[key]):
+            raise ConfigurationError(f"{key} must be a finite number, not {table[key]!r}")
+
+
 def cmd_naturalmap(args):
     config = load_json(args.config)
     seed = args.seed
@@ -162,9 +179,7 @@ def cmd_naturalmap(args):
     if not (isinstance(given, list) and given and all(map(_finite_number, given))):
         raise ConfigurationError(f"{key} must be a non-empty list of finite numbers, "
                                  f"not {given!r}")
-    if "h_override" in config and not _finite_number(config["h_override"]):
-        raise ConfigurationError(
-            f"h_override must be a finite number, not {config['h_override']!r}")
+    _check_naturalmap_numbers(config)
     if "fixture" in config:
         cover, emb, deck, rot = _build_naturalmap_fixture(config["fixture"], seed)
     else:

@@ -42,9 +42,10 @@ class DiscreteMeasure:
 
     `sites` is a (k, n+1) float array whose rows are points of H^n, or a
     list of hashable vertex ids.  A point's row tuple is its merge key.
+    `labels[i]` is input atom i's site index, or -1 if its site was dropped.
     """
 
-    __slots__ = ("sites", "weights")
+    __slots__ = ("sites", "weights", "labels")
 
     def __init__(self, sites, weights):
         points = isinstance(sites, np.ndarray)
@@ -59,8 +60,10 @@ class DiscreteMeasure:
             raise NonFiniteInputError("measure weights and point coordinates must be finite")
         if (weights < 0).any():
             raise ValueError("negative weight in measure")
-        first, weights, _ = group_atoms(map(tuple, sites.tolist()) if points else sites, weights)
+        keys = map(tuple, sites.tolist()) if points else sites
+        first, weights, labels = group_atoms(keys, weights)
         keep = weights != 0.0
+        self.labels = labels if keep.all() else np.where(keep, np.cumsum(keep) - 1, -1)[labels]
         self.weights = weights[keep]
         self.sites = sites[first[keep]] if points else [sites[i] for i in first[keep].tolist()]
 
@@ -98,6 +101,7 @@ class DiscreteMeasure:
         out = DiscreteMeasure.__new__(DiscreteMeasure)
         out.sites = self.sites.copy()
         out.weights = self.weights / m
+        out.labels = self.labels.copy()
         return out
 
     def pushforward(self, f):

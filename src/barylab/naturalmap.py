@@ -5,8 +5,8 @@ source space) and a vertex embedding f into H^n (the lifted comparison
 map), the pipeline:
 
 1. builds the exponentially weighted measure mu with density
-   measure(z) * exp(-s * d(x, z)) on the truncated ball, with a geometric
-   tail bound certifying the truncation;
+   measure(z) * exp(-s * d(x, z)) on the truncated ball, with a tail
+   envelope extrapolated from its annulus masses (it bounds nothing);
 2. pushes mu forward along f and takes the d^2-barycenter, giving the
    natural map value F_s(x);
 3. assembles, at y = F_s(x), the distance-weighted probability measure eta
@@ -50,7 +50,7 @@ from .errors import (
     RankDeficiencyError,
     TruncationError,
 )
-from .measures import DiscreteMeasure, group_atoms
+from .measures import DiscreteMeasure
 from .mmgraph import MMGraph
 
 
@@ -65,8 +65,8 @@ class NaturalMapConfig:
 
     `s` must exceed the entropy estimate by three residuals (finite total
     mass of the weighted measure needs s above the growth rate; the margin
-    covers window error).  `tail_tolerance` is the admissible certified
-    tail mass beyond the truncation radius as a fraction of retained mass.
+    covers window error).  `tail_tolerance` caps the extrapolated tail
+    envelope (not a certified mass) as a fraction of retained mass.
     """
 
     s: float
@@ -91,11 +91,11 @@ def s_grid(h_estimate: float, levels: int = 7):
 
 
 # ---------------------------------------------------------------------------
-# the weighted measure and its truncation certificate
+# the weighted measure and its extrapolated tail estimate
 # ---------------------------------------------------------------------------
 
 def exponential_tail_bound(dists, masses, s, h, eps, radius):
-    """Geometric bound on the mass beyond `radius`.
+    """Geometric envelope of the mass beyond `radius`; bounds nothing on a finite graph.
 
     Fits the constant C of the envelope C * exp((h + eps - s) * r) to the
     observed integer annulus masses, then sums the geometric series past
@@ -122,12 +122,12 @@ def exponential_tail_bound(dists, masses, s, h, eps, radius):
 def mu_x_s(cover: MMGraph, x, cfg: NaturalMapConfig, dists=None):
     """Exponentially weighted measure on the truncated ball about x.
 
-    `dists` is x's row of `cover.distances`, computed when omitted; atoms
-    come in (distance, vertex index) order.  Returns (measure, tail_bound).
-    The tail bound is an absolute mass; it is accepted when below
-    tail_tolerance times the retained mass (a relative criterion, so one
-    tolerance works across fixture scales).  Raises TruncationError with a
-    suggested radius otherwise.
+    `dists` is x's row of `cover.distances`, computed when omitted.  Returns
+    (atoms, weights, tail_bound): int64 vertex indices in (distance, index)
+    order and their weights, zero-weight atoms dropped.  The tail bound, an
+    absolute mass, is accepted below tail_tolerance times the retained mass
+    (relative, so one tolerance works across fixture scales); otherwise
+    TruncationError is raised with a suggested radius.
     """
     if dists is None:
         dists = cover.distances(x)
@@ -150,7 +150,7 @@ def mu_x_s(cover: MMGraph, x, cfg: NaturalMapConfig, dists=None):
             tail_bound=tail,
             suggested_radius=float(suggested),
         )
-    return DiscreteMeasure([cover.vertices[i] for i in order[inside].tolist()], weights), tail
+    return order[inside][weights > 0.0], weights[weights > 0.0], tail
 
 
 # ---------------------------------------------------------------------------
@@ -170,35 +170,28 @@ def _images(cover: MMGraph, f_tilde):
 
 
 def pushforward_with_fibers(weights, images):
-    """Group atoms by image row.
-
-    Returns the distinct rows in order of first appearance (the sites), their
-    summed weights, and each atom's site label (its fiber).
-    """
-    first, summed, labels = group_atoms(map(tuple, images.tolist()), weights)
-    return images[first], summed, labels
+    """sigma: `weights` pushed to the rows of `images`, equal rows merged in
+    order of first appearance; `sigma.labels` holds each atom's fiber."""
+    return DiscreteMeasure(images, weights)
 
 
-def _pushforward_barycenter(cover: MMGraph, images, x, cfg: NaturalMapConfig, dists):
+def _pushforward_barycenter(cover: MMGraph, images, x, cfg: NaturalMapConfig, dists=None):
     """mu_x_s, its pushforward sigma along `images` and the barycenter of
     sigma, as natural_map_point's info dict; "atoms" holds the vertex
-    indices of the mu atoms and "labels" their sigma sites."""
-    mu, tail = mu_x_s(cover, x, cfg, dists=dists)
-    atoms = np.array([cover.index[v] for v in mu.sites], dtype=np.int64)
-    sites, weights, labels = pushforward_with_fibers(mu.weights, images[atoms])
-    sigma = DiscreteMeasure.from_points(sites, weights)
+    indices of the mu atoms and "weights" their mu weights."""
+    atoms, weights, tail = mu_x_s(cover, x, cfg, dists=dists)
+    sigma = pushforward_with_fibers(weights, images[atoms])
     res = barycenter(sigma.normalize(), tol=SOLVER_TOL)
-    return {"mu": mu, "sigma": sigma, "tail_bound": tail, "solver": res,
-            "atoms": atoms, "labels": labels}
+    return {"atoms": atoms, "weights": weights, "sigma": sigma, "tail_bound": tail, "solver": res}
 
 
-def natural_map_point(cover: MMGraph, f_tilde, x, cfg: NaturalMapConfig, dists=None):
+def natural_map_point(cover: MMGraph, f_tilde, x, cfg: NaturalMapConfig):
     """F_s(x): the barycenter of the normalized pushforward measure.
 
-    Returns (coordinates of F_s(x), info) with the measure, its pushforward,
-    the tail bound and the solver record in `info`.
+    Returns (coordinates of F_s(x), info) with mu's atoms and weights, its
+    pushforward sigma, the tail bound and the solver record in `info`.
     """
-    info = _pushforward_barycenter(cover, _images(cover, f_tilde), x, cfg, dists)
+    info = _pushforward_barycenter(cover, _images(cover, f_tilde), x, cfg)
     return info["solver"].coords, info
 
 
@@ -315,8 +308,8 @@ def assemble_tensors(cover: MMGraph, f_tilde, x, cfg: NaturalMapConfig,
     K = float(np.sum(eta * coth)) * np.eye(dim) - (g_hat * (eta * coth)[:, None]).T @ g_hat
     L = (g_hat * (eta / rhok)[:, None]).T @ g_hat
 
-    G = source_gradients(cover, x, dists, ring, info["atoms"], info["mu"].weights,
-                         info["labels"], dim)[keep]
+    G = source_gradients(cover, x, dists, ring, info["atoms"], info["weights"],
+                         info["sigma"].labels, dim)[keep]
     A = (g_hat * eta[:, None]).T @ G
     B = (G * eta[:, None]).T @ G
     return TensorSet(

@@ -241,6 +241,25 @@ OFF_SHEET_SITES = ('{"atoms": [{"site": [1.1, 0.3, 0, 0], "w": 1}, '
                  id="naturalmap-h-override-nan"),
     pytest.param(["naturalmap", "IN"], small_naturalmap(h_override=[1.0]),
                  id="naturalmap-h-override-list"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(tail_tolerance=float("nan")),
+                 id="naturalmap-tail-tolerance-nan"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(tail_tolerance="abc"),
+                 id="naturalmap-tail-tolerance-string"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(truncation_radius="abc"),
+                 id="naturalmap-truncation-radius-string"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(truncation_radius=float("inf")),
+                 id="naturalmap-truncation-radius-inf"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(mesh_radius="abc"),
+                 id="naturalmap-mesh-radius-string"),
+    pytest.param(["naturalmap", "IN"],
+                 small_naturalmap(entropy={"r_min": "a", "r_max": 1.2, "step": 0.35}),
+                 id="naturalmap-entropy-r-min-string"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(entropy=[0.5, 1.2]),
+                 id="naturalmap-entropy-list"),
+    pytest.param(["naturalmap", "IN"],
+                 small_naturalmap(fixture={"type": "rotation_net", "order": 3, "radius": 1.3,
+                                           "spacing": "abc", "dim": 3}),
+                 id="naturalmap-fixture-spacing-string"),
     pytest.param(["indices", "IN", "--samples", "0"], '{"fixture": {"type": "torus_cover"}}',
                  id="indices-no-samples"),
     pytest.param(["coarea", "IN", "--samples", "0"], '{"fixture": {"type": "torus_cover"}}',
@@ -376,6 +395,18 @@ def test_naturalmap_command_small(tmp_path):
     assert len(rows) == 8
     assert all(len(row) == len(header) for row in rows)
     assert all(row[0].startswith("(") for row in rows)
+
+
+def test_naturalmap_mesh_radius(tmp_path):
+    cpath = tmp_path / "nm.json"
+    cpath.write_text(small_naturalmap(mesh_radius=0.6))
+    code, out, files = run_cli(["naturalmap", str(cpath)], tmp_path)
+    assert code == 0, out
+    lines = files["naturalmap_run.csv"].decode().splitlines()
+    rows = list(csv.DictReader(lines[1:]))
+    assert len(rows) == 2
+    assert all(math.isfinite(float(row["jac_mesh"])) and float(row["jac_mesh"]) > 0
+               for row in rows)
 
 
 def test_naturalmap_command_file_based(tmp_path):

@@ -62,18 +62,48 @@ def test_config_floor_enforced():
     NaturalMapConfig(s=1.2, truncation_radius=5.0, h_estimate=0.7, h_residual=0.1)
 
 
+def on_ids(cover, atoms, weights):
+    """mu as a measure on vertex ids, for W1 and pushforwards."""
+    return DiscreteMeasure([cover.vertices[i] for i in atoms.tolist()], weights)
+
+
 def test_mu_weight_at_center_is_exact():
     g = graphs.regular_tree(3, 9)
-    mu, _ = mu_x_s(g, 0, tree_cfg(1.5))
-    w = dict(zip(mu.sites, mu.weights))
-    assert w[0] == g.measure[0]  # e^0 term, exactly
+    atoms, weights, _ = mu_x_s(g, 0, tree_cfg(1.5))
+    assert atoms.dtype == np.int64
+    w = dict(zip(atoms.tolist(), weights.tolist()))
+    assert w[g.index[0]] == g.measure[0]  # e^0 term, exactly
+
+
+def test_mu_drops_zero_measure_atoms_and_keeps_distance_order():
+    # a path 0 - 1 - 2 - 3 - 4 with a zero-measure vertex 2 and leaves 5
+    # (zero measure) and 6 on 2; 3, 5 and 6 tie at distance 3 from 0, and
+    # index order (6, 3, 5) is not id order
+    vertices = [6, 3, 0, 5, 2, 1, 4]
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (2, 5, 1.0), (2, 6, 1.0)]
+    measure = {v: 1.0 for v in vertices}
+    measure[2] = measure[5] = 0.0
+    g = MMGraph(vertices, edges, measure)
+    cfg = tree_cfg(1.5, radius=4.5, tol=10.0)
+    atoms, weights, _ = mu_x_s(g, 0, cfg)
+    dists = g.distances(0)
+    assert [g.vertices[i] for i in atoms.tolist()] == [0, 1, 6, 3, 4]
+    keys = [(dists[i], i) for i in atoms.tolist()]
+    assert keys == sorted(keys)
+    assert np.all(weights > 0)
+    emb = {v: hyp.exp(hyp.basepoint(2), np.array([0.0, 0.1 * v, 0.0])) for v in vertices}
+    _, info = natural_map_point(g, emb, 0, cfg)
+    assert info["atoms"].tolist() == atoms.tolist()
+    sigma = info["sigma"]
+    assert len(sigma) == 5 and sigma.labels.tolist() == [0, 1, 2, 3, 4]
+    for v in (2, 5):
+        assert not np.any(np.all(sigma.sites == emb[v], axis=1))
 
 
 def test_mu_concentrates_for_large_s():
     g = graphs.regular_tree(3, 6)
     cfg = tree_cfg(50.0 * math.log(2), radius=5.0)
-    mu, _ = mu_x_s(g, 0, cfg)
-    norm = mu.normalize()
+    norm = on_ids(g, *mu_x_s(g, 0, cfg)[:2]).normalize()
     delta = DiscreteMeasure.dirac(0)
     dist_from_root = g.dijkstra(0)
     value, _ = wasserstein1(norm, delta, metric=lambda a, b: abs(dist_from_root[a] - dist_from_root[b]))
@@ -100,8 +130,8 @@ def test_mu_deck_equivariance_exact():
     cfg = NaturalMapConfig(s=1.4, truncation_radius=7.0, h_estimate=0.9,
                            tail_tolerance=1.0)
     x = (0, 0)
-    mu_x, _ = mu_x_s(cover.total, x, cfg)
-    mu_gx, _ = mu_x_s(cover.total, phi[x], cfg)
+    mu_x = on_ids(cover.total, *mu_x_s(cover.total, x, cfg)[:2])
+    mu_gx = on_ids(cover.total, *mu_x_s(cover.total, phi[x], cfg)[:2])
     pushed = mu_x.pushforward(lambda v: phi[v])
     lhs = dict(zip(pushed.sites, pushed.weights))
     rhs = dict(zip(mu_gx.sites, mu_gx.weights))
@@ -114,10 +144,10 @@ def test_pushforward_groups_equal_images_in_first_appearance_order():
     # first appearance B, C, A against the sorted order A, B, C
     images = np.array([[1.0, 2.0], [3.0, 0.0], [1.0, 2.0], [0.5, 0.0], [3.0, 0.0], [1.0, 2.0]])
     w = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.7])
-    sites, weights, labels = pushforward_with_fibers(w, images)
-    assert sites.tolist() == [[1.0, 2.0], [3.0, 0.0], [0.5, 0.0]]
-    assert labels.tolist() == [0, 1, 0, 2, 1, 0]
-    assert weights.tolist() == [0.0 + 0.1 + 0.3 + 0.7, 0.0 + 0.2 + 0.5, 0.4]
+    sigma = pushforward_with_fibers(w, images)
+    assert sigma.sites.tolist() == [[1.0, 2.0], [3.0, 0.0], [0.5, 0.0]]
+    assert sigma.labels.tolist() == [0, 1, 0, 2, 1, 0]
+    assert sigma.weights.tolist() == [0.0 + 0.1 + 0.3 + 0.7, 0.0 + 0.2 + 0.5, 0.4]
 
 
 def test_source_gradients_match_the_per_fiber_loop():
@@ -132,10 +162,12 @@ def test_source_gradients_match_the_per_fiber_loop():
                            tail_tolerance=5.0)
     center = min(g.vertices, key=lambda v: hyp.dist(emb[v], hyp.basepoint(3)))
     _, info = natural_map_point(g, folded, center, cfg)
-    assert max(np.bincount(info["labels"])) == 2
+    labels = info["sigma"].labels
+    assert max(np.bincount(labels)) == 2
     G = source_gradients(g, center, g.distances(center), _ring_rows(g, center),
-                         info["atoms"], info["mu"].weights, info["labels"], 3)
-    sites, G_loop = loop_source_gradients(g, center, info["mu"], folded, 3)
+                         info["atoms"], info["weights"], labels, 3)
+    mu = on_ids(g, info["atoms"], info["weights"])
+    sites, G_loop = loop_source_gradients(g, center, mu, folded, 3)
     assert np.array_equal(info["sigma"].sites, sites)
     assert np.max(np.abs(G - G_loop)) <= 1e-12
 
@@ -145,7 +177,7 @@ def test_natural_map_constant_embedding():
     q = hyp.random_point(np.random.default_rng(1), 3, 1.0)
     point, info = natural_map_point(g, lambda v: q, 0, tree_cfg(1.5, radius=6.0))
     assert hyp.dist(point, q) < 1e-12
-    assert info["tail_bound"] <= 1e-2 * info["mu"].total_mass
+    assert info["tail_bound"] <= 1e-2 * float(np.sum(info["weights"]))
 
 
 def test_natural_map_two_s_values_smoke():

@@ -190,6 +190,7 @@ def test_duplicate_sites_merge():
     mu = DiscreteMeasure(["a", "a", "b"], np.array([1.0, 2.0, 3.0]))
     assert len(mu) == 2
     assert dict(zip(mu.sites, mu.weights)) == {"a": 3.0, "b": 3.0}
+    assert mu.labels.tolist() == [0, 0, 1]
     # point rows A, B, A, C, B, zero-weight D, and B again with -0.0 for 0.0;
     # sorted order would put B first
     a, b, c, d = [1.5, 0.0, 2.0], [1.0, 0.0, 0.0], [2.0, 1.0, 1.0], [3.0, 2.0, 2.0]
@@ -199,6 +200,13 @@ def test_duplicate_sites_merge():
     assert isinstance(mu.sites, np.ndarray)
     assert mu.sites.tolist() == [a, b, c]
     assert mu.weights.tolist() == [0.0 + 0.1 + 0.3, 0.0 + 0.2 + 0.5 + 0.7, 0.0 + 0.4]
+    # each input row's site; the dropped zero-weight D has none
+    assert mu.labels.tolist() == [0, 1, 0, 2, 1, -1, 1]
+    assert mu.normalize().labels.tolist() == mu.labels.tolist()
+    # a zero-weight group ahead of kept ones shifts their labels down
+    mu = DiscreteMeasure(["z", "a", "z", "b"], np.array([0.0, 1.0, 0.0, 2.0]))
+    assert mu.sites == ["a", "b"]
+    assert mu.labels.tolist() == [-1, 0, -1, 1]
 
 
 def test_measure_json_roundtrip():
