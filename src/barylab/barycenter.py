@@ -6,6 +6,11 @@ backtracking converges linearly (Sturm's CAT(0) barycenter theory
 guarantees existence, uniqueness and basepoint independence).  The descent
 direction is the weighted mean of log maps; steps are capped at 0.5 to stay
 well inside the chart arithmetic's comfortable range.
+
+Each trial point costs one kernel evaluation, `hyperboloid.log_many`: its
+distances give F for the Armijo test, and its logs become the next
+descent direction when the trial is accepted, so an accepted iterate is
+never evaluated twice.  The reported objective is the accepted trial's F.
 """
 
 from __future__ import annotations
@@ -84,18 +89,19 @@ def barycenter(nu: DiscreteMeasure, tol: float = DEFAULT_TOL,
     else:
         y = hyp.project_to_sheet(np.asarray(initial, dtype=float))
 
-    def f(pt):
-        d = hyp.dist_many(pt, pts)
-        return float(np.sum(w * d * d))
+    def evaluate(pt):
+        # one kernel evaluation: F(pt) for the Armijo test and the logs
+        # that become the next direction if pt is accepted
+        d, logs = hyp.log_many(pt, pts)
+        return float(np.sum(w * d * d)), logs
 
-    fy = f(y)
+    fy, logs = evaluate(y)
     for it in range(1, max_iter + 1):
-        logs = hyp.log_many(y, pts)
         v = w @ logs  # equals -grad/2 of the normalized objective
         vnorm = math.sqrt(max(hyp.minkowski_dot(v, v), 0.0))
         grad_norm = 2.0 * vnorm
         if grad_norm <= tol:
-            return BarycenterResult(y, grad_norm * mass, it - 1, f(y) * mass)
+            return BarycenterResult(y, grad_norm * mass, it - 1, fy * mass)
         t = min(1.0, STEP_CAP / vnorm)
         decrease = 2.0 * vnorm * vnorm  # = -<grad, v>
         if decrease <= 1e-13 * max(1.0, abs(fy)):
@@ -103,28 +109,28 @@ def barycenter(nu: DiscreteMeasure, tol: float = DEFAULT_TOL,
             # test is meaningless, but the plain Karcher step (t=1) is a
             # local contraction for this 2-strongly convex objective
             y = hyp.exp(y, t * v)
-            fy = f(y)
+            fy, logs = evaluate(y)
             continue
         accepted = False
         for _ in range(60):
             y_new = hyp.exp(y, t * v)
-            fy_new = f(y_new)
+            fy_new, logs_new = evaluate(y_new)
             if fy_new <= fy - ARMIJO_C1 * t * decrease:
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
             break
-        y, fy = y_new, fy_new
+        y, fy, logs = y_new, fy_new, logs_new
 
-    logs = hyp.log_many(y, pts)
     v = w @ logs
     grad_norm = 2.0 * math.sqrt(max(hyp.minkowski_dot(v, v), 0.0))
+    best = BarycenterResult(y, grad_norm * mass, max_iter, fy * mass)
     if grad_norm <= tol:
-        return BarycenterResult(y, grad_norm * mass, max_iter, f(y) * mass)
+        return best
     raise SolverFailureError(
         f"barycenter solver stalled at gradient norm {grad_norm:.3e} (tol {tol:.3e})",
-        best=BarycenterResult(y, grad_norm * mass, max_iter, f(y) * mass),
+        best=best,
         gradient_norm=grad_norm,
         iterations=max_iter,
     )

@@ -11,6 +11,13 @@ operation re-projects its output so the sheet constraint drifts by less
 than ~1e-15 per call.  `check_point` validates points that enter from
 outside (JSON measures and embeddings).
 
+The distance is the primitive: every log map (`log`, `log_many`,
+`grad_dist`, `hess_dist_matrix`) is built from d(p, q), computed once.
+`log_many(p, Q)` returns that distance row with the logs, as (d, V), and
+its d is `dist_many(p, Q)` bit for bit, so a caller that needs both (the
+barycenter's Armijo test and its next direction) evaluates the kernel
+once.
+
 The dimension n >= 2 is a runtime parameter (the length of a coordinate
 vector is n+1).
 """
@@ -37,7 +44,7 @@ def minkowski_dot(u, v):
     """Minkowski inner product -u0*v0 + sum_i ui*vi (broadcasts over rows)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    return -u[..., 0] * v[..., 0] + np.sum(u[..., 1:] * v[..., 1:], axis=-1)
+    return -u[..., 0] * v[..., 0] + (u[..., 1:] * v[..., 1:]).sum(axis=-1)
 
 
 def project_to_sheet(x):
@@ -47,6 +54,8 @@ def project_to_sheet(x):
     if (nrm <= 0).any():
         raise InvalidPointError("coordinates are not timelike; cannot project to sheet")
     y = x / np.sqrt(nrm)[..., None]
+    if y.ndim == 1:
+        return y if y[0] > 0 else -y
     sign = np.where(y[..., 0] > 0, 1.0, -1.0)
     return y * sign[..., None]
 
@@ -79,13 +88,13 @@ def basepoint(n):
     return o
 
 
-def _dist_log(p, q, with_log):
-    """The one distance/log kernel: d(p, q), and log_p(q) when `with_log`.
+def _dist(p, q):
+    """d = 2*asinh(|q-p|_M / 2); shapes broadcast.
 
-    Shapes broadcast.  d = 2*asinh(|q-p|_M / 2) is exact on the hyperboloid
-    and avoids the cancellation of acosh(-<p,q>_M) near zero.  On the sheet
-    |q-p|_M^2 = 2(-<p,q>_M - 1), so the inputs are off the sheet when it
-    drops below -2 * ILL_CONDITIONED_TOL.
+    Exact on the hyperboloid, and free of the cancellation of
+    acosh(-<p,q>_M) near zero.  On the sheet |q-p|_M^2 = 2(-<p,q>_M - 1),
+    so the inputs are off the sheet when it drops below
+    -2 * ILL_CONDITIONED_TOL.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -96,25 +105,32 @@ def _dist_log(p, q, with_log):
             f"-<p,q>_M = {1.0 + 0.5 * float(np.min(chord_sq)):.12f} < 1; "
             "inputs are off the sheet"
         )
-    d = 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(chord_sq, 0.0)))
-    if not with_log:
-        return d
+    return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(chord_sq, 0.0)))
+
+
+def _log_from_dist(p, q, d):
+    """log_p(q) given d = d(p, q); shapes broadcast."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
     mu = -minkowski_dot(p, q)
     # d / sinh(d) from the chord distance (sqrt(mu^2 - 1) loses its digits
     # where mu rounds to 1 + ulp); 1 where d is 0
     tiny = d < 1e-300
-    factor = np.where(tiny, 1.0, d / np.sinh(np.where(tiny, 1.0, d)))
-    return d, tangent_project(p, factor[..., None] * (q - mu[..., None] * p))
+    if tiny.any():
+        factor = np.where(tiny, 1.0, d / np.sinh(np.where(tiny, 1.0, d)))
+    else:
+        factor = d / np.sinh(d)
+    return tangent_project(p, factor[..., None] * (q - mu[..., None] * p))
 
 
 def dist(p, q):
-    """Geodesic distance (see `_dist_log`)."""
-    return _dist_log(p, q, False)
+    """Geodesic distance; shapes broadcast."""
+    return _dist(p, q)
 
 
 def dist_many(p, Q):
     """Distance from p to each row of Q."""
-    return _dist_log(p, np.atleast_2d(Q), False)
+    return _dist(p, np.atleast_2d(Q))
 
 
 def exp(p, v):
@@ -132,17 +148,26 @@ def exp(p, v):
     return project_to_sheet(out)
 
 
+def _dist_log(p, q):
+    """(d(p, q), log_p(q)) from the two pieces above."""
+    d = _dist(p, q)
+    return d, _log_from_dist(p, q, d)
+
+
 def log(p, q):
     """Tangent vector at p whose exponential is q; |log(p,q)|_M = dist(p,q)."""
-    d, v = _dist_log(p, q, True)
+    d, v = _dist_log(p, q)
     if np.ndim(d) == 0 and d < 1e-300:
         return np.zeros_like(v)
     return v
 
 
 def log_many(p, Q):
-    """Log map from a single point p to each row of Q; returns (m, n+1)."""
-    return _dist_log(p, np.atleast_2d(Q), True)[1]
+    """Distances and log maps from p to each row of Q: (d, V) of shapes
+    (m,) and (m, n+1).  d is `dist_many(p, Q)` itself, bit for bit."""
+    Q = np.atleast_2d(Q)
+    d = dist_many(p, Q)
+    return d, _log_from_dist(p, Q, d)
 
 
 def tangent_frame(p):
@@ -169,7 +194,7 @@ def tangent_frame(p):
 
 def grad_dist(y, z):
     """Unit tangent at y pointing away from z (the gradient of d(., z))."""
-    d, v = _dist_log(y, z, True)
+    d, v = _dist_log(y, z)
     if d < COINCIDENT_TOL:
         raise DegenerateGradientError("gradient of distance undefined at coincident points")
     return -v / d
@@ -182,7 +207,7 @@ def hess_dist_matrix(y, z, frame=None):
     radial direction: eigenvalue 0 along g, coth(d) on its orthocomplement.
     Returns (matrix, frame).
     """
-    d, v = _dist_log(y, z, True)
+    d, v = _dist_log(y, z)
     if d < COINCIDENT_TOL:
         raise SingularHessianError("Hessian of distance singular at coincident points")
     if frame is None:

@@ -273,33 +273,6 @@ def volume_entropy(g: MMGraph, x, r_min: float, r_max: float, step: float = 1.0)
                            tuple(masses.tolist()))
 
 
-def lipschitz_constant(f, domain: MMGraph, target_metric, mode: str = "all") -> float:
-    """Largest ratio target_metric(f u, f v) / d(u, v).
-
-    mode="all" maximizes over all vertex pairs; mode="edges" only over
-    edges, which upper-bounds the all-pairs value for shortest-path metrics.
-    """
-    fmap = f if callable(f) else f.__getitem__
-    if mode == "edges":
-        best = 0.0
-        for u, v, length in domain.edges:
-            if u == v:
-                continue
-            best = max(best, target_metric(fmap(u), fmap(v)) / length)
-        return best
-    if mode != "all":
-        raise ValueError("mode must be 'all' or 'edges'")
-    best = 0.0
-    for u in domain.vertices:
-        dist = domain.dijkstra(u)
-        fu = fmap(u)
-        for v, d in dist.items():
-            if v == u or d <= 0:
-                continue
-            best = max(best, target_metric(fu, fmap(v)) / d)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # covers
 # ---------------------------------------------------------------------------

@@ -288,19 +288,18 @@ def assemble_tensors(cover: MMGraph, f_tilde, x, cfg: NaturalMapConfig,
     info = _pushforward_barycenter(cover, images, x, cfg, dists)
     y = info["solver"].coords
 
-    Z, weights = info["sigma"].sites, info["sigma"].weights
-    rho = hyp.dist_many(y, Z)
+    weights = info["sigma"].weights
+    rho, logs = hyp.log_many(y, info["sigma"].sites)
     keep = rho >= EXCLUSION_THRESHOLD
     excluded = float(np.sum(weights[~keep]))
-    Zk, rhok, wk = Z[keep], rho[keep], weights[keep]
+    rhok, wk = rho[keep], weights[keep]
 
     eta_hat = rhok * wk
     eta_mass = float(np.sum(eta_hat))
     eta = eta_hat / eta_mass
 
     frame = hyp.tangent_frame(y)
-    logs = hyp.log_many(y, Zk)
-    g_unit = -logs / rhok[:, None]
+    g_unit = -logs[keep] / rhok[:, None]
     g_hat = hyp.frame_coords(frame, g_unit)  # (m, dim), unit rows
 
     coth = 1.0 / np.tanh(rhok)
@@ -359,7 +358,7 @@ def jacobian_mesh(cover: MMGraph, point_map, x, r, dim=None):
     if len(verts) < dim + 1:
         return 0.0, False
     tangent = hyp.frame_coords(hyp.tangent_frame(center_img),
-                               hyp.log_many(center_img, images[verts]))
+                               hyp.log_many(center_img, images[verts])[1])
     # source chart: MDS on pairwise distances within the ball
     rows = [cover.distances(cover.vertices[i], cutoff=2.0 * r + 1e-9) for i in verts]
     pair = np.take(np.array(rows), verts, axis=1)

@@ -11,6 +11,12 @@ loops over atoms and fibers with distance dicts, the rotation-net oracle
 builds the fixture one sample and one orbit pair at a time, and the deck
 oracle tries every permutation of the sheets against the whole monodromy
 group.
+
+`two_evaluation_barycenter` is not independent: it is the barycenter loop
+as it stood before the solver reused its trial logs (`dist_many` at each
+trial, `log_many` at each accepted iterate, F recomputed at exit), kept to
+check that the one-evaluation solver follows the same iterates bit for bit.
+`lipschitz_constant` is the all-pairs Lipschitz ratio that the tests read.
 """
 
 import heapq
@@ -20,6 +26,7 @@ import math
 import numpy as np
 
 from barylab import hyperboloid as hyp
+from barylab.barycenter import ARMIJO_C1, STEP_CAP
 from barylab.transport import PIVOT_TOL
 
 
@@ -60,6 +67,52 @@ def grid_barycenter_objective(nu, resolution=2e-4):
     return best_val, best_pt
 
 
+def two_evaluation_barycenter(pts, w, mass, tol, max_iter, initial=None):
+    """The Armijo descent with separate distance and log evaluations.
+
+    `pts` and `w` are the solver's sites and normalized weights, `mass` the
+    total mass.  Returns (coords, gradient_norm, iterations, objective,
+    converged), the fields of `BarycenterResult` (of `SolverFailureError.best`
+    when not converged).
+    """
+    if len(pts) == 1:
+        return pts[0], 0.0, 0, 0.0, True
+    start = w @ pts if initial is None else np.asarray(initial, dtype=float)
+    y = hyp.project_to_sheet(start)
+
+    def f(pt):
+        d = hyp.dist_many(pt, pts)
+        return float(np.sum(w * d * d))
+
+    fy = f(y)
+    for it in range(1, max_iter + 1):
+        v = w @ hyp.log_many(y, pts)[1]
+        vnorm = math.sqrt(max(hyp.minkowski_dot(v, v), 0.0))
+        grad_norm = 2.0 * vnorm
+        if grad_norm <= tol:
+            return y, grad_norm * mass, it - 1, f(y) * mass, True
+        t = min(1.0, STEP_CAP / vnorm)
+        decrease = 2.0 * vnorm * vnorm
+        if decrease <= 1e-13 * max(1.0, abs(fy)):
+            y = hyp.exp(y, t * v)
+            fy = f(y)
+            continue
+        accepted = False
+        for _ in range(60):
+            y_new = hyp.exp(y, t * v)
+            fy_new = f(y_new)
+            if fy_new <= fy - ARMIJO_C1 * t * decrease:
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            break
+        y, fy = y_new, fy_new
+    v = w @ hyp.log_many(y, pts)[1]
+    grad_norm = 2.0 * math.sqrt(max(hyp.minkowski_dot(v, v), 0.0))
+    return y, grad_norm * mass, max_iter, f(y) * mass, grad_norm <= tol
+
+
 def regular_tree_ball_mass(k, R):
     """Vertex count of a radius-R ball in the infinite k-regular unit tree."""
     if R < 0:
@@ -74,6 +127,33 @@ def regular_tree_ball_mass(k, R):
 
 def hyperbolic_metric(s, t):
     return float(hyp.dist(np.array(s), np.array(t)))
+
+
+def lipschitz_constant(f, domain, target_metric, mode="all"):
+    """Largest ratio target_metric(f u, f v) / d(u, v) on an `MMGraph`.
+
+    mode="all" maximizes over all vertex pairs; mode="edges" only over
+    edges, which upper-bounds the all-pairs value for shortest-path metrics.
+    """
+    fmap = f if callable(f) else f.__getitem__
+    if mode == "edges":
+        best = 0.0
+        for u, v, length in domain.edges:
+            if u == v:
+                continue
+            best = max(best, target_metric(fmap(u), fmap(v)) / length)
+        return best
+    if mode != "all":
+        raise ValueError("mode must be 'all' or 'edges'")
+    best = 0.0
+    for u in domain.vertices:
+        dist = domain.dijkstra(u)
+        fu = fmap(u)
+        for v, d in dist.items():
+            if v == u or d <= 0:
+                continue
+            best = max(best, target_metric(fu, fmap(v)) / d)
+    return best
 
 
 def tree_entropy_exact(k):

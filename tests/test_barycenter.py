@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from barylab import hyperboloid as hyp
 from barylab.barycenter import BarycenterResult, barycenter, objective, psi_homotopy
@@ -9,7 +10,7 @@ from barylab.errors import EmptyMeasureError, InvalidPointError, SolverFailureEr
 from barylab.measures import DiscreteMeasure
 from barylab.transport import wasserstein1
 
-from oracles import grid_barycenter_objective, hyperbolic_metric
+from oracles import grid_barycenter_objective, hyperbolic_metric, two_evaluation_barycenter
 
 RNG = np.random.default_rng(42)
 
@@ -94,18 +95,61 @@ def test_barycenter_is_one_lipschitz_in_w1():
         assert hyp.dist(bm, bn) <= w1 * (1 + 1e-6) + 2e-9
 
 
-def test_equivariance_under_isometries():
-    for trial in range(20):
-        rng = np.random.default_rng(8000 + trial)
-        nu = random_measure(rng, 8).normalize()
-        g = hyp.random_isometry(rng, 3)
+seeds = st.integers(0, 2**32 - 1)
+derandomized = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
-        def act(site):
-            return hyp.project_to_sheet(g @ site)
 
-        lhs = barycenter(nu.pushforward(act)).coords
-        rhs = hyp.project_to_sheet(g @ barycenter(nu).coords)
-        assert hyp.dist(lhs, rhs) < 1e-7
+@derandomized
+@given(seeds, st.integers(1, 12), st.sampled_from([2, 3, 4]), st.floats(0.0, 1.5))
+def test_equivariance_under_isometries(seed, k, n, spread):
+    rng = np.random.default_rng(seed)
+    nu = random_measure(rng, k, n).normalize()
+    g = hyp.random_isometry(rng, n, spread)
+
+    def act(site):
+        return hyp.project_to_sheet(g @ site)
+
+    lhs = barycenter(nu.pushforward(act)).coords
+    rhs = hyp.project_to_sheet(g @ barycenter(nu).coords)
+    assert hyp.dist(lhs, rhs) < 1e-7
+
+
+def _bits(*values):
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+@derandomized
+@given(seeds, st.integers(1, 40), st.sampled_from([2, 3, 5]), st.floats(0.0, 2.0),
+       st.integers(0, 5), st.booleans())
+def test_one_evaluation_loop_repeats_the_two_evaluation_loop_bit_for_bit(
+        seed, k, n, radius, repeats, start_at_atom):
+    rng = np.random.default_rng(seed)
+    pts = np.array([hyp.random_point(rng, n, radius) for _ in range(k)])
+    pts = np.vstack([pts, pts[rng.integers(0, k, size=repeats)]])  # atoms that merge
+    nu = DiscreteMeasure.from_points(pts, rng.uniform(0.2, 1.0, size=len(pts)))
+    # starting on an atom puts a zero distance in the first kernel call
+    initial = nu.sites[rng.integers(0, len(nu))] if start_at_atom else None
+    w = nu.weights / nu.total_mass
+
+    d = hyp.log_many(nu.sites[0], nu.sites)[0]
+    assert _bits(d) == _bits(hyp.dist_many(nu.sites[0], nu.sites))
+
+    res = barycenter(nu, initial=initial)
+    ref = two_evaluation_barycenter(nu.sites, w, nu.total_mass, 1e-9, 10_000, initial)
+    assert ref[4]
+    assert _bits(res.coords, res.gradient_norm, res.iterations, res.objective) == \
+        _bits(*ref[:4])
+
+    # two iterations at an unreachable tolerance: the best iterate of the failure
+    ref = two_evaluation_barycenter(nu.sites, w, nu.total_mass, 1e-16, 2, initial)
+    try:
+        best = barycenter(nu, tol=1e-16, max_iter=2, initial=initial)
+        assert ref[4]
+    except SolverFailureError as exc:
+        best = exc.best
+        assert not ref[4]
+    assert _bits(best.coords, best.gradient_norm, best.iterations, best.objective) == \
+        _bits(*ref[:4])
 
 
 def test_basepoint_independence():

@@ -15,11 +15,16 @@ from barylab.mmgraph import (
     MMGraph,
     ball_measure,
     build_cover,
-    lipschitz_constant,
     volume_entropy,
 )
 
-from oracles import brute_force_deck, heap_dijkstra, regular_tree_ball_mass, scalar_rotation_net
+from oracles import (
+    brute_force_deck,
+    heap_dijkstra,
+    lipschitz_constant,
+    regular_tree_ball_mass,
+    scalar_rotation_net,
+)
 
 RNG = np.random.default_rng(3)
 

@@ -26,7 +26,7 @@ from barylab.naturalmap import (
 )
 from barylab.transport import wasserstein1
 
-from oracles import brute_force_deck, loop_source_gradients
+from oracles import brute_force_deck, lipschitz_constant, loop_source_gradients
 
 
 def tree_cfg(s, radius=8.0, tol=1e-2):
@@ -337,8 +337,6 @@ def test_run_and_entropy_volume_report():
 def test_natural_map_is_lipschitz_on_fixture():
     # the sample-point map x -> F_s(x) has a finite Lipschitz ratio, and the
     # edge-restricted bound dominates the sampled all-pairs ratio
-    from barylab.mmgraph import lipschitz_constant
-
     g, emb = small_net(seed=40)
     cfg = NaturalMapConfig(s=2.6, truncation_radius=3.0, h_estimate=1.9,
                            tail_tolerance=5.0)

@@ -151,7 +151,7 @@ def test_pushforward_contraction_bound():
         center = hyp.basepoint(3)
         t = rng.uniform(0.2, 1.0)
         support = np.vstack([mu.sites, nu.sites])
-        image = hyp.exp(center, t * hyp.log_many(center, support))
+        image = hyp.exp(center, t * hyp.log_many(center, support)[1])
         d = hyp.dist(support[:, None], support[None])
         apart = d > 1e-9
         lip = float(np.max(hyp.dist(image[:, None], image[None])[apart] / d[apart],
