@@ -2,7 +2,8 @@
 
 Builds the exponentially weighted measures, pushes them into H^3, takes
 barycenters, assembles the moment tensors, and checks the Jacobian bound
-chain.  Run:  python3 demos/demo_naturalmap.py
+chain.  The net's points come as one array `images` whose row i is the
+image of vertex g.vertices[i].  Run:  python3 demos/demo_naturalmap.py
 """
 
 import numpy as np
@@ -19,11 +20,11 @@ from barylab.naturalmap import (
 
 rng = np.random.default_rng(7)
 print("building a rotation-symmetric epsilon-net of a ball in H^3 ...")
-g, emb, deck, rot = graphs.rotation_symmetric_net(
+g, images, deck, rot = graphs.rotation_symmetric_net(
     rng, order=4, n=3, radius=1.8, spacing=0.33)
 print(f"{g.n} vertices, {len(g.edges)} edges, 4-fold rotational deck action")
 
-center = min(g.vertices, key=lambda v: float(hyp.dist(emb[v], hyp.basepoint(3))))
+center = g.vertices[int(np.argmin(hyp.dist_many(hyp.basepoint(3), images)))]
 est = volume_entropy(g, center, 0.8, 1.6, step=0.2)
 print(f"entropy window estimate: h = {est.h:.3f} (residual {est.residual:.3f});"
       f" the ambient growth rate of H^3 is N - 1 = 2")
@@ -34,7 +35,7 @@ cfg = NaturalMapConfig(s=s_values[0], truncation_radius=3.0, h_estimate=est.h,
 
 d0 = g.dijkstra(center)
 samples = sorted(g.vertices, key=lambda v: (d0[v], str(v)))[:6]
-run = run_natural_map(g, emb, cfg, samples, s_values=s_values)
+run = run_natural_map(g, images, cfg, samples, s_values=s_values)
 
 print()
 print("per-point tensor diagnostics (first sample, each s):")
@@ -58,8 +59,8 @@ print("growth rate: the direction distribution rounds out")
 print()
 print("deck equivariance of the pipeline:")
 x = samples[0]
-fx, _ = natural_map_point(g, emb, x, cfg)
-fgx, _ = natural_map_point(g, emb, deck[x], cfg)
+fx, _ = natural_map_point(g, images, x, cfg)
+fgx, _ = natural_map_point(g, images, deck[x], cfg)
 dev = hyp.dist(fgx, hyp.project_to_sheet(rot @ fx))
 print(f"  F_s(deck x) vs rot F_s(x): deviation {float(dev):.2e}")
 

@@ -87,9 +87,7 @@ def _print_json(payload):
 
 def cmd_entropy(args):
     g = load_graph(args.graph)
-    basepoint = args.basepoint if args.basepoint is not None else str(g.vertices[0])
-    by_str = {str(v): v for v in g.vertices}
-    x = by_str.get(basepoint, basepoint)
+    x = g.vertex(args.basepoint) if args.basepoint is not None else g.vertices[0]
     est = volume_entropy(g, x, args.rmin, args.rmax, step=args.step)
     config = {"command": "entropy", "graph": args.graph, "basepoint": str(x),
               "rmin": args.rmin, "rmax": args.rmax, "step": args.step}
@@ -120,9 +118,8 @@ def cmd_wasserstein(args):
                                  "on points of H^n without")
     if args.graph:
         g = load_graph(args.graph)
-        by_str = {str(v): v for v in g.vertices}
-        targets = [g.index[by_str.get(str(b), b)] for b in nu.sites]
-        cost = np.array([g.distances(by_str.get(str(a), a))[targets] for a in mu.sites])
+        targets = [g.index[g.vertex(b)] for b in nu.sites]
+        cost = np.array([g.distances(g.vertex(a))[targets] for a in mu.sites])
     else:
         cost = hyp.dist(mu.sites[:, None], nu.sites[None])
     value, plan = wasserstein1(mu, nu, cost=cost)
@@ -143,8 +140,7 @@ def _build_naturalmap_fixture(spec, seed):
              "spacing": spec.get("spacing", 0.3), "edge_factor": spec.get("edge_factor", 2.0)}
     rng = np.random.default_rng(seed)
     if kind == "ball_net":
-        g, emb = graphs.hyperbolic_ball_net(rng, **shape)
-        return g, emb, None, None
+        return (*graphs.hyperbolic_ball_net(rng, **shape), None, None)
     if kind == "rotation_net":
         return graphs.rotation_symmetric_net(rng, order=spec.get("order", 4), **shape)
     raise ValueError(f"unknown naturalmap fixture type {kind!r}")
@@ -155,8 +151,10 @@ def _finite_number(x):
 
 
 def _check_naturalmap_numbers(config):
-    """ConfigurationError unless each numeric field a naturalmap config sets,
-    at the top level, in "entropy" or in "fixture", is a finite number."""
+    """ConfigurationError, naming the field, unless each numeric field a
+    naturalmap config sets, at the top level, in "entropy" or in "fixture",
+    is a finite number in its domain: lengths and tolerances positive, the
+    fixture's dim and a rotation net's order integers >= 2."""
     ew = config.get("entropy", {})
     if not isinstance(ew, dict):
         raise ConfigurationError(f"entropy must be a JSON object, not {ew!r}")
@@ -164,11 +162,20 @@ def _check_naturalmap_numbers(config):
     fields = [(k, config) for k in ("truncation_radius", "tail_tolerance", "mesh_radius",
                                     "h_override")]
     fields += [(k, ew) for k in ("r_min", "r_max", "step")]
+    positive = ("truncation_radius", "tail_tolerance", "mesh_radius", "radius", "spacing",
+                "edge_factor")
+    counts = ("dim",)  # integers >= 2
     if isinstance(fixture, dict):
         fields += [(k, fixture) for k in ("dim", "radius", "spacing", "edge_factor", "order")]
-    for key, table in fields:
-        if key in table and not _finite_number(table[key]):
-            raise ConfigurationError(f"{key} must be a finite number, not {table[key]!r}")
+        if fixture.get("type", "rotation_net") == "rotation_net":
+            counts += ("order",)
+    for key, value in ((key, table[key]) for key, table in fields if key in table):
+        if not _finite_number(value):
+            raise ConfigurationError(f"{key} must be a finite number, not {value!r}")
+        if key in counts and not (isinstance(value, int) and value >= 2):
+            raise ConfigurationError(f"{key} must be an integer >= 2, not {value!r}")
+        if key in positive and not value > 0:
+            raise ConfigurationError(f"{key} must be positive, not {value!r}")
 
 
 def cmd_naturalmap(args):
@@ -181,15 +188,14 @@ def cmd_naturalmap(args):
                                  f"not {given!r}")
     _check_naturalmap_numbers(config)
     if "fixture" in config:
-        cover, emb, deck, rot = _build_naturalmap_fixture(config["fixture"], seed)
+        cover, images, deck, rot = _build_naturalmap_fixture(config["fixture"], seed)
     else:
         cover = load_graph(config["graph"])
-        emb = load_embedding(load_json(config["embedding"]))
-        emb = {v: emb[str(v)] for v in cover.vertices}
+        images = load_embedding(load_json(config["embedding"]), cover)
         deck = rot = None
     ew = config.get("entropy", {})
-    base = min(cover.vertices,
-               key=lambda v: float(hyp.dist(emb[v], hyp.basepoint(len(emb[v]) - 1))))
+    o = hyp.basepoint(images.shape[1] - 1)
+    base = cover.vertices[int(np.argmin(hyp.dist_many(o, images)))]
     est = volume_entropy(cover, base, ew.get("r_min", 0.8),
                          ew.get("r_max", 1.8), step=ew.get("step", 0.25))
     h_est = config.get("h_override", est.h)
@@ -208,8 +214,7 @@ def cmd_naturalmap(args):
         tail_tolerance=config.get("tail_tolerance", 2.0),
     )
     if "sample_points" in config:
-        by_str = {str(v): v for v in cover.vertices}
-        samples = [by_str.get(str(v), v) for v in config["sample_points"]]
+        samples = [cover.vertex(v) for v in config["sample_points"]]
         if not samples:
             raise ConfigurationError("sample_points is empty")
     else:
@@ -218,7 +223,7 @@ def cmd_naturalmap(args):
             raise ConfigurationError(f"num_samples must be a positive integer, not {k!r}")
         dist0 = cover.dijkstra(base)
         samples = sorted(cover.vertices, key=lambda v: (dist0[v], str(v)))[:k]
-    run = run_natural_map(cover, emb, cfg, samples, s_values=s_values,
+    run = run_natural_map(cover, images, cfg, samples, s_values=s_values,
                           mesh_radius=config.get("mesh_radius"))
     n = run.records[0].tensors.dim
     h0 = n - 1
@@ -226,7 +231,7 @@ def cmd_naturalmap(args):
     tables = [gates(r, h0) for r in run.records]
     equivariance = None
     if deck is not None:
-        gate = deck_equivariance(cover, emb, deck, rot, samples[:4], cfg)
+        gate = deck_equivariance(cover, images, deck, rot, samples[:4], cfg)
         equivariance = gate.value
         tables.append([gate])
     violations = sum(not all(g.passed for g in table) for table in tables)

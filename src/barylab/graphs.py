@@ -1,6 +1,7 @@
 """Graph fixtures: trees, paths, cycles, roses, cage graphs and epsilon-nets
 of hyperbolic balls (with an optional rotational symmetry giving an exact
-deck action paired with a target isometry).
+deck action paired with a target isometry).  A net comes with its points as
+one (n, N+1) array `images` in the order of `graph.vertices`.
 
 Both nets come from one greedy construction, `_orbit_net`.  Every
 distance test it makes, for acceptance and for edges, goes through one pair
@@ -276,14 +277,14 @@ def hyperbolic_ball_net(rng, n=3, radius=2.0, spacing=0.35, edge_factor=2.0,
 
     This is the order-1 rotation net with integer vertex ids: sample points
     are kept greedily when they lie at least `spacing` from every point kept
-    before.  Returns (graph, embedding) where embedding maps vertex ids to
-    H^n coordinate arrays; vertices carry unit measure, edges join net
+    before.  Returns (graph, images): vertex i is the net point images[i]
+    of H^n, an (m, n+1) array; vertices carry unit measure, edges join net
     points within edge_factor * spacing and carry their exact hyperbolic
     length.
     """
     orbits, edges, _ = _orbit_net(rng, 1, n, radius, spacing, edge_factor, oversample)
     graph = MMGraph(list(range(len(orbits))), [(u, v, d) for (u, _), (v, _), d in edges])
-    return graph, dict(enumerate(orbits[:, 0]))
+    return graph, orbits[:, 0]
 
 
 def rotation_symmetric_net(rng, order=4, n=3, radius=2.0, spacing=0.35,
@@ -291,16 +292,16 @@ def rotation_symmetric_net(rng, order=4, n=3, radius=2.0, spacing=0.35,
     """Ball net invariant under a cyclic rotation, with the exact deck data.
 
     The net is built from orbits of a rotation by 2*pi/order in the last two
-    coordinates; vertex (o, s) is step s of orbit o.  Edge lengths and the
-    vertex permutation `deck` are replicated across orbits, so the deck map
-    preserves the graph exactly (not just to rounding).  Returns (graph,
-    embedding, deck, rotation_matrix).
+    coordinates; vertex (o, s) is step s of orbit o, and it is the point
+    images[o * order + s] of H^n.  Edge lengths and the vertex permutation
+    `deck` (a dict of vertex ids) are replicated across orbits, so the deck
+    map preserves the graph exactly (not just to rounding).  Returns (graph,
+    images, deck, rotation_matrix).
     """
     if order < 2:
         raise ValueError("order must be >= 2")
     orbits, edges, rot = _orbit_net(rng, order, n, radius, spacing, edge_factor, oversample)
     vertices = [(o, s) for o in range(len(orbits)) for s in range(order)]
-    embedding = {(o, s): orbits[o, s] for o, s in vertices}
     graph = MMGraph(vertices, edges)
     deck = {(o, s): (o, (s + 1) % order) for o, s in vertices}
-    return graph, embedding, deck, rot
+    return graph, orbits.reshape(-1, n + 1), deck, rot

@@ -5,7 +5,8 @@ Formats:
 - measure: {"atoms": [{"site": <id or coords>, "w": <real>}]}; a site that
   is an array is a point of H^n, a scalar is a vertex id.
 - graph: {"vertices": [...], "edges": [[u, v, len], ...], "measure": {v: w}}.
-- embedding: {str(vertex): coords}, parallel to a graph.
+- embedding: {str(vertex): coords}, parallel to a graph; loaded as one
+  (n, N+1) array in the graph's vertex order.
 - simplicial map: {"domain": <complex>, "target": <complex>,
   "vertex_map": {str(v): image}} with complex
   {"dim": n, "simplices": [[v, ...], ...], "charts": [...]} (charts optional).
@@ -23,6 +24,7 @@ import json
 import numpy as np
 
 from . import hyperboloid as hyp
+from .errors import ConfigurationError
 from .indices.simplicial import Pseudomanifold, SimplicialMap
 from .measures import DiscreteMeasure
 from .mmgraph import MMGraph
@@ -72,7 +74,12 @@ def load_simplicial_map(data) -> SimplicialMap:
     return SimplicialMap(domain, target, vmap)
 
 
-def load_embedding(data):
-    """Vertex->coords map keyed by str(vertex), parallel to a graph; every
-    row is checked to be a point of H^n."""
-    return {k: hyp.check_point(np.array(v, dtype=float)) for k, v in data.items()}
+def load_embedding(data, graph: MMGraph):
+    """The (n, N+1) image array of `graph`'s vertices, in vertex order, from
+    rows keyed by str(vertex); every row is checked to be a point of H^n and
+    a vertex without a row is a ConfigurationError."""
+    rows = {k: hyp.check_point(np.array(v, dtype=float)) for k, v in data.items()}
+    missing = [v for v in graph.vertices if str(v) not in rows]
+    if missing:
+        raise ConfigurationError(f"embedding has no row for vertex {missing[0]!r}")
+    return np.array([rows[str(v)] for v in graph.vertices])

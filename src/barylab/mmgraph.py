@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,7 +68,9 @@ class MMGraph:
     Adjacency is one CSR structure over vertex indices, built once: the
     half-edges leaving vertex i are ``_target[_indptr[i]:_indptr[i + 1]]``
     with lengths ``_length[...]``, in edge order (a loop contributes one
-    half-edge).
+    half-edge).  ``measure`` is one read-only float array in `vertices`
+    order, given to the constructor as a mapping (unit measure if omitted).
+    Edge endpoints and measure keys may name a vertex as `vertex` reads.
     """
 
     def __init__(self, vertices, edges, measure=None):
@@ -78,8 +81,8 @@ class MMGraph:
         self.edges = []
         tails, heads, lengths = [], [], []
         for u, v, length in edges:
-            if u not in self.index or v not in self.index:
-                raise GraphLookupError(f"edge ({u!r}, {v!r}) references unknown vertex")
+            u = u if u in self.index else self.vertex(u)
+            v = v if v in self.index else self.vertex(v)
             length = float(length)
             if length <= 0:
                 raise ValueError("edge lengths must be positive")
@@ -98,12 +101,15 @@ class MMGraph:
         if not np.isfinite(self._length).all():
             raise NonFiniteInputError("edge lengths must be finite")
         if measure is None:
-            measure = {v: 1.0 for v in self.vertices}
-        self.measure = {v: float(measure.get(v, 0.0)) for v in self.vertices}
-        self._measure_arr = np.array([self.measure[v] for v in self.vertices])
-        if not np.isfinite(self._measure_arr).all():
+            self.measure = np.ones(self.n)
+        else:
+            self.measure = np.zeros(self.n)
+            for v, w in measure.items():
+                self.measure[self.index[v if v in self.index else self.vertex(v)]] = float(w)
+        self.measure.flags.writeable = False
+        if not np.isfinite(self.measure).all():
             raise NonFiniteInputError("vertex measures must be finite")
-        if np.any(self._measure_arr < 0):
+        if np.any(self.measure < 0):
             raise ValueError("vertex measures must be nonnegative")
         if self.total_measure <= 0:
             raise ValueError("total measure must be positive")
@@ -118,7 +124,7 @@ class MMGraph:
 
     @property
     def total_measure(self):
-        return float(np.sum(self._measure_arr))
+        return float(np.sum(self.measure))
 
     def neighbors(self, v):
         i = self.index[v]
@@ -126,10 +132,18 @@ class MMGraph:
         return [(self.vertices[j], length) for j, length in
                 zip(self._target[lo:hi].tolist(), self._length[lo:hi].tolist())]
 
-    def degree(self, v):
-        i = self.index[v]
-        heads = self._target[self._indptr[i]:self._indptr[i + 1]]
-        return len(heads) + int(np.sum(heads == i))
+    def vertex(self, name):
+        """The vertex id that `name` stands for, as JSON keys, CSV cells and
+        command lines write ids: the vertex whose str() is str(name), else
+        GraphLookupError."""
+        try:
+            return self._names[str(name)]
+        except KeyError:
+            raise GraphLookupError(f"unknown vertex {name!r}") from None
+
+    @cached_property
+    def _names(self):
+        return {str(v): v for v in self.vertices}
 
     def distances(self, source, cutoff=None):
         """Shortest-path distances from `source` as one float array indexed
@@ -176,7 +190,7 @@ class MMGraph:
             {
                 "vertices": self.vertices,
                 "edges": [[u, v, length] for u, v, length in self.edges],
-                "measure": {str(v): w for v, w in self.measure.items()},
+                "measure": {str(v): w for v, w in zip(self.vertices, self.measure.tolist())},
             }
         )
 
@@ -185,15 +199,10 @@ class MMGraph:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError(f"a graph is a JSON object, not {type(data).__name__}")
-        vertices = data["vertices"]
-        by_str = {str(v): v for v in vertices}
-        measure = {by_str[k]: w for k, w in data.get("measure", {}).items()}
-
-        def _vid(x):
-            return by_str.get(str(x), x)
-
-        edges = [(_vid(u), _vid(v), length) for u, v, length in data["edges"]]
-        return cls(vertices, edges, measure or None)
+        measure = data.get("measure", {})
+        if not isinstance(measure, dict):
+            raise ValueError(f"a graph's measure is a JSON object, not {type(measure).__name__}")
+        return cls(data["vertices"], data["edges"], measure or None)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +237,7 @@ def ball_measure(g: MMGraph, x, R):
         raise ValueError("radius must be nonnegative")
     dist = g.distances(x, cutoff=float(np.max(radii)))
     order = np.argsort(dist, kind="stable")
-    prefix = np.concatenate(([0.0], np.cumsum(g._measure_arr[order])))
+    prefix = np.concatenate(([0.0], np.cumsum(g.measure[order])))
     masses = prefix[np.searchsorted(dist[order], radii, side="right")]
     return float(masses) if masses.ndim == 0 else masses
 
@@ -318,11 +327,12 @@ class CoverMap:
             )
             if star != base_star:
                 raise ValueError(f"projection is not a local bijection at {w!r}")
+        index, measure = self.total.index, self.total.measure
         for phi in self.deck:
             for w in self.total.vertices:
                 if self.projection[phi[w]] != self.projection[w]:
                     raise ValueError("deck map does not commute with projection")
-                if abs(self.total.measure[phi[w]] - self.total.measure[w]) > tol:
+                if abs(measure[index[phi[w]]] - measure[index[w]]) > tol:
                     raise ValueError("deck map does not preserve the measure")
         return True
 
@@ -361,7 +371,7 @@ def build_cover(base: MMGraph, voltage: dict) -> CoverMap:
         p = perms[e]
         for s in range(k):
             edges.append(((u, s), (v, p[s]), length))
-    measure = {(v, s): base.measure[v] for v, s in vertices}
+    measure = dict(zip(vertices, np.repeat(base.measure, k).tolist()))
 
     # connectivity check before constructing (MMGraph refuses disconnected)
     index = {w: i for i, w in enumerate(vertices)}

@@ -1,8 +1,8 @@
 """The natural-map pipeline on a truncated cover.
 
 For a basepoint x of a metric measure graph (standing in for a cover of the
-source space) and a vertex embedding f into H^n (the lifted comparison
-map), the pipeline:
+source space) and the images f(z) in H^n of its vertices under the lifted
+comparison map, the pipeline:
 
 1. builds the exponentially weighted measure mu with density
    measure(z) * exp(-s * d(x, z)) on the truncated ball, with a tail
@@ -23,8 +23,13 @@ map), the pipeline:
 
 4. evaluates the differential formula s * (L + K)^{-1} A, its determinant
    (the Jacobian estimate), a mesh-scale Jacobian from convex-hull volume
-   ratios, and the determinant inequality chain that bounds the Jacobian by
-   (s / (N - 1))^N.
+   ratios (NaN on a rank-deficient ball), and the determinant inequality
+   chain that bounds the Jacobian by (s / (N - 1))^N.
+
+Per-vertex data are arrays in `cover.vertices` order: the images are one
+(n, N+1) array `images` whose row i is f(cover.vertices[i]), and the
+measure is `cover.measure`.  Vertices (x, sample points, deck maps) are
+named by id.
 
 The source gradients G are least-squares fits of directional difference
 quotients over the one-ring of x, in a local chart obtained by classical
@@ -133,7 +138,7 @@ def mu_x_s(cover: MMGraph, x, cfg: NaturalMapConfig, dists=None):
         dists = cover.distances(x)
     order = np.argsort(dists, kind="stable")
     d = dists[order]
-    m = cover._measure_arr[order]
+    m = cover.measure[order]
     eps = min(3.0 * cfg.h_residual + 1e-6, 0.5 * (cfg.s - cfg.h_estimate))
     tail, C = exponential_tail_bound(d, m, cfg.s, cfg.h_estimate, eps, cfg.truncation_radius)
     inside = d <= cfg.truncation_radius
@@ -157,18 +162,6 @@ def mu_x_s(cover: MMGraph, x, cfg: NaturalMapConfig, dists=None):
 # F_s and the tensors
 # ---------------------------------------------------------------------------
 
-def _images(cover: MMGraph, f_tilde):
-    """The vertex images as one (n, N+1) array in vertex index order.
-
-    `f_tilde` maps vertex ids to points of H^N (a dict or a callable), or
-    is that array already.
-    """
-    if isinstance(f_tilde, np.ndarray):
-        return f_tilde
-    image = f_tilde if callable(f_tilde) else f_tilde.__getitem__
-    return np.array([image(v) for v in cover.vertices], dtype=float)
-
-
 def pushforward_with_fibers(weights, images):
     """sigma: `weights` pushed to the rows of `images`, equal rows merged in
     order of first appearance; `sigma.labels` holds each atom's fiber."""
@@ -185,13 +178,13 @@ def _pushforward_barycenter(cover: MMGraph, images, x, cfg: NaturalMapConfig, di
     return {"atoms": atoms, "weights": weights, "sigma": sigma, "tail_bound": tail, "solver": res}
 
 
-def natural_map_point(cover: MMGraph, f_tilde, x, cfg: NaturalMapConfig):
+def natural_map_point(cover: MMGraph, images, x, cfg: NaturalMapConfig):
     """F_s(x): the barycenter of the normalized pushforward measure.
 
     Returns (coordinates of F_s(x), info) with mu's atoms and weights, its
     pushforward sigma, the tail bound and the solver record in `info`.
     """
-    info = _pushforward_barycenter(cover, _images(cover, f_tilde), x, cfg)
+    info = _pushforward_barycenter(cover, images, x, cfg)
     return info["solver"].coords, info
 
 
@@ -272,14 +265,13 @@ class TensorSet:
         return self.H.shape[0]
 
 
-def assemble_tensors(cover: MMGraph, f_tilde, x, cfg: NaturalMapConfig,
+def assemble_tensors(cover: MMGraph, images, x, cfg: NaturalMapConfig,
                      dists=None, ring=None) -> TensorSet:
     """Build the full tensor set at the natural-map image of x.
 
     `dists` (x's distance row) and `ring` (the distance rows of its
     one-ring) are computed when omitted.
     """
-    images = _images(cover, f_tilde)
     dim = images.shape[1] - 1
     if dists is None:
         dists = cover.distances(x)
@@ -338,17 +330,16 @@ def cauchy_schwarz_gap(tensors: TensorSet):
     return float(np.min(np.linalg.eigvalsh(0.5 * (gap + gap.T))))
 
 
-def jacobian_mesh(cover: MMGraph, point_map, x, r, dim=None):
+def jacobian_mesh(cover: MMGraph, images, x, r, dim=None):
     """Mesh-scale Jacobian: image hull volume / source hull volume on B(x, r).
 
     The image cloud is charted in the tangent space at the image of x, the
     source cloud by classical MDS on its pairwise graph distances; both
-    volumes come from convex hulls.  O(r)-accurate at best; returns
-    (value, rank_ok) and value 0.0 with rank_ok=False on degenerate clouds.
+    volumes come from convex hulls.  O(r)-accurate at best; NaN when either
+    cloud spans fewer than `dim` directions (a rank-deficient ball).
     """
     from scipy.spatial import ConvexHull, QhullError
 
-    images = _images(cover, point_map)
     center_img = images[cover.index[x]]
     if dim is None:
         dim = len(center_img) - 1
@@ -356,9 +347,12 @@ def jacobian_mesh(cover: MMGraph, point_map, x, r, dim=None):
     verts = sorted(np.flatnonzero(ball <= r).tolist(),
                    key=lambda i: (ball[i], str(cover.vertices[i])))
     if len(verts) < dim + 1:
-        return 0.0, False
+        return math.nan
     tangent = hyp.frame_coords(hyp.tangent_frame(center_img),
                                hyp.log_many(center_img, images[verts])[1])
+    sing = np.linalg.svd(tangent - tangent.mean(axis=0), compute_uv=False)
+    if len(sing) < dim or sing[dim - 1] <= 1e-9 * max(sing[0], 1e-300):
+        return math.nan
     # source chart: MDS on pairwise distances within the ball
     rows = [cover.distances(cover.vertices[i], cutoff=2.0 * r + 1e-9) for i in verts]
     pair = np.take(np.array(rows), verts, axis=1)
@@ -368,19 +362,10 @@ def jacobian_mesh(cover: MMGraph, point_map, x, r, dim=None):
     gram = -0.5 * (sq - row[:, None] - row[None, :] + sq.mean())
     try:
         source = local_chart(gram, dim, 1e-9, "mesh ball")
-    except RankDeficiencyError:
-        return 0.0, False
-    sing = np.linalg.svd(tangent - tangent.mean(axis=0), compute_uv=False)
-    if len(sing) < dim or sing[dim - 1] <= 1e-9 * max(sing[0], 1e-300):
-        return 0.0, False
-    try:
-        vol_img = ConvexHull(tangent).volume
-        vol_src = ConvexHull(source).volume
-    except QhullError:
-        return 0.0, False
-    if vol_src <= 0:
-        return 0.0, False
-    return float(vol_img / vol_src), True
+        vol_img, vol_src = ConvexHull(tangent).volume, ConvexHull(source).volume
+    except (RankDeficiencyError, QhullError):
+        return math.nan
+    return float(vol_img / vol_src) if vol_src > 0 else math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +382,6 @@ class PointRecord:
     tensors: TensorSet
     jac_formula: float
     jac_mesh: float
-    mesh_rank_ok: bool
     cond: float
     cs_gap: float
     measure: float = 1.0
@@ -460,9 +444,8 @@ def gates(record: PointRecord, h0: float):
     ]
 
 
-def deck_equivariance(cover: MMGraph, f_tilde, deck, rot, xs, cfg: NaturalMapConfig):
+def deck_equivariance(cover: MMGraph, images, deck, rot, xs, cfg: NaturalMapConfig):
     """The gate max over x in `xs` of d(F(deck x), rot F(x)) < 1e-6."""
-    images = _images(cover, f_tilde)
     worst = 0.0
     for x in xs:
         fx, _ = natural_map_point(cover, images, x, cfg)
@@ -487,11 +470,9 @@ def worst_gates(tables):
 
 @dataclass
 class NaturalMapRun:
-    """All point records of a run plus the window data used to gate s."""
+    """All point records of a run and the measures that scale their quadrature."""
 
     records: list
-    h_estimate: float
-    h_residual: float
     total_measure: float
     sample_measure: float
 
@@ -507,40 +488,34 @@ class NaturalMapRun:
         return seen
 
 
-def run_natural_map(cover: MMGraph, f_tilde, base_cfg: NaturalMapConfig,
+def run_natural_map(cover: MMGraph, images, base_cfg: NaturalMapConfig,
                     sample_points, s_values=None, mesh_radius=None) -> NaturalMapRun:
     """Evaluate the pipeline at each sample point for each s.
 
     Graph distances from each sample point and its one-ring are computed
     once and shared across the s grid.
     """
-    images = _images(cover, f_tilde)
     s_values = list(s_values) if s_values is not None else [base_cfg.s]
     records = []
     sample_measure = 0.0
     for x in sample_points:
-        sample_measure += cover.measure[x]
+        measure = float(cover.measure[cover.index[x]])
+        sample_measure += measure
         dists = cover.distances(x)
         ring = _ring_rows(cover, x)
         for s in s_values:
             cfg = replace(base_cfg, s=s)
             tensors = assemble_tensors(cover, images, x, cfg, dists=dists, ring=ring)
             jac, cond = jacobian_formula(tensors.H, tensors.K, tensors.L, tensors.A, s)
-            if mesh_radius is not None:
-                jm, rank_ok = jacobian_mesh(cover, images, x, mesh_radius,
-                                            dim=tensors.dim)
-            else:
-                jm, rank_ok = float("nan"), True
+            jm = (math.nan if mesh_radius is None
+                  else jacobian_mesh(cover, images, x, mesh_radius, dim=tensors.dim))
             records.append(PointRecord(
                 x=x, s=s, point=tensors.y, tensors=tensors,
-                jac_formula=jac, jac_mesh=jm, mesh_rank_ok=rank_ok,
-                cond=cond, cs_gap=cauchy_schwarz_gap(tensors),
-                measure=cover.measure[x],
+                jac_formula=jac, jac_mesh=jm,
+                cond=cond, cs_gap=cauchy_schwarz_gap(tensors), measure=measure,
             ))
     return NaturalMapRun(
         records=records,
-        h_estimate=base_cfg.h_estimate,
-        h_residual=base_cfg.h_residual,
         total_measure=cover.total_measure,
         sample_measure=sample_measure,
     )

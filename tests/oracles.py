@@ -388,7 +388,7 @@ def heap_dijkstra(g, source, cutoff=None):
     return {g.vertices[i]: d for i, d in dist.items()}
 
 
-def loop_source_gradients(g, x, mu, emb, dim):
+def loop_source_gradients(g, x, mu, images, dim):
     """Fiber-averaged source gradients one atom and one fiber at a time.
 
     Distances are heap-Dijkstra dicts; the one-ring chart Gram matrix is
@@ -408,7 +408,7 @@ def loop_source_gradients(g, x, mu, emb, dim):
     pinv = np.linalg.pinv(vecs[:, top] * np.sqrt(vals[top]))
     fibers = {}
     for i, v in enumerate(mu.sites):
-        fibers.setdefault(tuple(float(c) for c in emb[v]), []).append(i)
+        fibers.setdefault(tuple(float(c) for c in images[g.index[v]]), []).append(i)
     G = []
     for v in mu.sites:
         grad = pinv @ np.array([ring[u][v] - d_x[v] for u in neighbors])
@@ -426,8 +426,8 @@ def scalar_rotation_net(rng, order=4, n=3, radius=2.0, spacing=0.35,
                         edge_factor=2.0, oversample=30):
     """Rotation-symmetric ball net, one sample and one orbit pair at a time.
 
-    Returns (vertices, edges, embedding) for comparison with
-    `graphs.rotation_symmetric_net`.
+    Returns (vertices, edges, images), images[i] the point of vertices[i],
+    for comparison with `graphs.rotation_symmetric_net`.
     """
     from barylab.graphs import ball_volume
 
@@ -472,7 +472,7 @@ def scalar_rotation_net(rng, order=4, n=3, radius=2.0, spacing=0.35,
             buf[filled:filled + order] = orbit
             filled += order
     vertices = [(o, s) for o in range(len(orbits)) for s in range(order)]
-    embedding = {(o, s): orbits[o][s] for o, s in vertices}
+    images = np.array([orbits[o][s] for o, s in vertices])
     edges = []
     threshold = edge_factor * spacing
     for o1 in range(len(orbits)):
@@ -490,7 +490,7 @@ def scalar_rotation_net(rng, order=4, n=3, radius=2.0, spacing=0.35,
                     shifts = range(order)
                 for shift in shifts:
                     edges.append(((o1, shift), (o2, (s + shift) % order), float(d[s])))
-    return vertices, edges, embedding
+    return vertices, edges, images
 
 
 def brute_force_deck(base, voltage):

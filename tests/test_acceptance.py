@@ -226,7 +226,7 @@ def test_acceptance_7_naturalmap(big_net):
     t0 = time.monotonic()
     g, emb, deck, rot = big_net
     assert g.n >= 4500, f"fixture has {g.n} vertices; expected ~5e3"
-    center = min(g.vertices, key=lambda v: float(hyp.dist(emb[v], hyp.basepoint(3))))
+    center = g.vertices[int(np.argmin(hyp.dist_many(hyp.basepoint(3), emb)))]
     est = volume_entropy(g, center, 1.2, 2.2, step=0.25)
     s_values = [f * est.h for f in (1.1, 1.5, 2.0)]
     cfg = NaturalMapConfig(s=s_values[0], truncation_radius=3.2,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -175,11 +176,25 @@ def naturalmap_files(tmp_path, scale=1.0):
     })
 
 
+def missing_embedding_row(tmp_path):
+    """naturalmap_files with the row of vertex 7 left out of the embedding."""
+    text = naturalmap_files(tmp_path)
+    rows = json.loads((tmp_path / "embedding.json").read_text())
+    del rows["7"]
+    (tmp_path / "embedding.json").write_text(json.dumps(rows))
+    return text
+
+
+def small_fixture(**overrides):
+    """The fixture of small_naturalmap with some keys replaced."""
+    return {"type": "rotation_net", "order": 3, "radius": 1.3, "spacing": 0.45, "dim": 3,
+            **overrides}
+
+
 def small_naturalmap(**overrides):
     """A fast rotation-net naturalmap config with some keys replaced."""
     return json.dumps({
-        "fixture": {"type": "rotation_net", "order": 3, "radius": 1.3,
-                    "spacing": 0.45, "dim": 3},
+        "fixture": small_fixture(),
         "entropy": {"r_min": 0.5, "r_max": 1.2, "step": 0.35},
         "s_factors": [1.5],
         "truncation_radius": 3.0,
@@ -260,6 +275,33 @@ OFF_SHEET_SITES = ('{"atoms": [{"site": [1.1, 0.3, 0, 0], "w": 1}, '
                  small_naturalmap(fixture={"type": "rotation_net", "order": 3, "radius": 1.3,
                                            "spacing": "abc", "dim": 3}),
                  id="naturalmap-fixture-spacing-string"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(fixture=small_fixture(order=2.5)),
+                 id="naturalmap-fixture-order-fraction"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(fixture=small_fixture(order=1)),
+                 id="naturalmap-fixture-order-one"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(fixture=small_fixture(dim=2.5)),
+                 id="naturalmap-fixture-dim-fraction"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(fixture=small_fixture(dim=1)),
+                 id="naturalmap-fixture-dim-one"),
+    pytest.param(["naturalmap", "IN"],
+                 small_naturalmap(fixture={"type": "ball_net", "dim": 1, "radius": 1.3}),
+                 id="naturalmap-ball-net-dim-one"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(fixture=small_fixture(spacing=-0.4)),
+                 id="naturalmap-fixture-spacing-negative"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(fixture=small_fixture(radius=0)),
+                 id="naturalmap-fixture-radius-zero"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(fixture=small_fixture(edge_factor=-2.0)),
+                 id="naturalmap-fixture-edge-factor-negative"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(truncation_radius=0.0),
+                 id="naturalmap-truncation-radius-zero"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(tail_tolerance=-1),
+                 id="naturalmap-tail-tolerance-negative"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(mesh_radius=-1),
+                 id="naturalmap-mesh-radius-negative"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(sample_points=["(0, 0)", [3, 1]]),
+                 id="naturalmap-sample-point-unknown"),
+    pytest.param(["naturalmap", "IN"], missing_embedding_row,
+                 id="naturalmap-embedding-row-missing"),
     pytest.param(["indices", "IN", "--samples", "0"], '{"fixture": {"type": "torus_cover"}}',
                  id="indices-no-samples"),
     pytest.param(["coarea", "IN", "--samples", "0"], '{"fixture": {"type": "torus_cover"}}',
@@ -409,6 +451,35 @@ def test_naturalmap_mesh_radius(tmp_path):
                for row in rows)
 
 
+def test_naturalmap_degenerate_mesh_ball_reads_nan(tmp_path):
+    # a mesh radius below the net's spacing leaves each sample point alone
+    # in its ball, which spans no direction: the estimate is NaN, not 0.0
+    cpath = tmp_path / "nm.json"
+    cpath.write_text(small_naturalmap(mesh_radius=0.01))
+    code, out, files = run_cli(["naturalmap", str(cpath)], tmp_path)
+    assert code == 0, out
+    rows = list(csv.DictReader(files["naturalmap_run.csv"].decode().splitlines()[1:]))
+    assert len(rows) == 2 and all(row["jac_mesh"] == "nan" for row in rows)
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"fixture": small_fixture(order=2.5)}, "order"),
+    ({"fixture": small_fixture(dim=2.5)}, "dim"),
+    ({"fixture": small_fixture(dim=1)}, "dim"),
+    ({"fixture": small_fixture(spacing=-0.4)}, "spacing"),
+    ({"fixture": small_fixture(radius=0)}, "radius"),
+    ({"fixture": small_fixture(edge_factor=-2.0)}, "edge_factor"),
+    ({"truncation_radius": 0.0}, "truncation_radius"),
+    ({"tail_tolerance": -1}, "tail_tolerance"),
+    ({"mesh_radius": -1}, "mesh_radius"),
+])
+def test_naturalmap_domain_error_names_the_field(overrides, field, tmp_path, capsys):
+    cpath = tmp_path / "nm.json"
+    cpath.write_text(small_naturalmap(**overrides))
+    assert main(["--out-dir", str(tmp_path), "naturalmap", str(cpath)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+
+
 def test_naturalmap_command_file_based(tmp_path):
     cpath = tmp_path / "nm.json"
     cpath.write_text(naturalmap_files(tmp_path))
@@ -487,3 +558,38 @@ def test_determinism_all_commands(tmp_path, tree_json):
         assert code1 == code2 == 0
         assert out1 == out2
         assert files1 == files2
+
+
+README_NATURALMAP = {
+    "fixture": {"type": "rotation_net", "order": 4, "radius": 2.0, "spacing": 0.3},
+    "s_factors": [1.1, 1.5, 2.0], "truncation_radius": 4.0, "tail_tolerance": 10.0,
+    "entropy": {"r_min": 1.2, "r_max": 2.0, "step": 0.25},
+}
+
+
+@pytest.mark.parametrize("config, csv_sha, stdout_sha", [
+    pytest.param(json.dumps(README_NATURALMAP),
+                 "af379456807e338b4a90c4289b7cdf8917c8dd38ee6eaa2d83c5dd15adc9ae6d",
+                 "d1f2fb4cb404a5cf83d497114f97eff516de140d803d66095debdbd15f5fef21", id="readme"),
+    pytest.param(small_naturalmap(),
+                 "ddf79e6bcb3188393e0d7433a934c5df12107f2c8eeb17c3fabc2a79d98bd17c",
+                 "4fd3b10be96b6a847607d973cc3518b5415d27ec382df3966fc85df597ab285e", id="small"),
+])
+def test_naturalmap_output_pinned(config, csv_sha, stdout_sha, tmp_path):
+    """`naturalmap --seed 1` writes the bytes recorded at commit 5e8e65f:
+    the sha256 of naturalmap_run.csv, and of stdout without its "run_csv"
+    line (the one path-dependent field).
+
+    A refactor must leave these digests alone.  They may move only with a
+    change that states its max |delta| over these outputs in CHANGES.md, or
+    after a numpy/LAPACK change, naming the environment (library versions,
+    CPU) the new digests were recorded in.
+    """
+    cpath = tmp_path / "nm.json"
+    cpath.write_text(config)
+    code, out, files = run_cli(["--seed", "1", "naturalmap", str(cpath)], tmp_path)
+    assert code == 0
+    stdout = "".join(line for line in out.splitlines(keepends=True)
+                     if not line.startswith('  "run_csv": '))
+    assert hashlib.sha256(files["naturalmap_run.csv"]).hexdigest() == csv_sha
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha

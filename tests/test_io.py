@@ -39,8 +39,7 @@ def test_simplicial_map_json_loader():
 def test_chart_rank_deficiency_error():
     # a path graph has one-dimensional one-rings: no 3-dimensional chart
     g = graphs.path_graph(12)
-    line = {v: np.array([np.cosh(0.3 * v), np.sinh(0.3 * v), 0.0, 0.0])
-            for v in g.vertices}
+    line = np.array([[np.cosh(0.3 * v), np.sinh(0.3 * v), 0.0, 0.0] for v in g.vertices])
     cfg = NaturalMapConfig(s=1.0, truncation_radius=12.0, h_estimate=0.0,
                            tail_tolerance=10.0)
     with pytest.raises(RankDeficiencyError):

@@ -62,7 +62,7 @@ def test_ball_measure_of_radii_sums_in_settle_order():
         expected = 0.0
         for v, d in settled.items():
             if d <= r:
-                expected += g.measure[v]
+                expected += g.measure[g.index[v]]
         assert mass == expected == ball_measure(g, 5, r)
     with pytest.raises(ValueError):
         ball_measure(g, 5, [1.0, -0.5])
@@ -204,8 +204,8 @@ def test_cover_deck_maps_match_brute_force():
 def test_cover_measure_lifts_base_measure():
     base = MMGraph([0, 1], [(0, 1, 1.0), (0, 1, 2.0)], {0: 2.0, 1: 3.0})
     cover = build_cover(base, {0: (1, 0), 1: (0, 1)})
-    for (v, s), w in cover.total.measure.items():
-        assert w == base.measure[v]
+    for (v, s), w in zip(cover.total.vertices, cover.total.measure):
+        assert w == base.measure[base.index[v]]
     # fiber carries k times the base mass
     assert cover.total.total_measure == 2 * base.total_measure
     cover.validate()
@@ -280,10 +280,12 @@ def test_lipschitz_edge_bound_dominates_all_pairs():
 
 def test_graph_json_roundtrip():
     g = MMGraph(["a", "b", "c"], [("a", "b", 1.5), ("b", "c", 0.5)], {"a": 2.0, "b": 1.0, "c": 0.25})
+    assert g.to_json() == ('{"vertices": ["a", "b", "c"], "edges": [["a", "b", 1.5], '
+                           '["b", "c", 0.5]], "measure": {"a": 2.0, "b": 1.0, "c": 0.25}}')
     g2 = MMGraph.from_json(g.to_json())
     assert g2.vertices == g.vertices
     assert g2.edges == g.edges
-    assert g2.measure == g.measure
+    assert np.array_equal(g2.measure, g.measure)
     gi = graphs.cycle_graph(5)
     gi2 = MMGraph.from_json(gi.to_json())
     assert gi2.vertices == gi.vertices
@@ -324,7 +326,8 @@ def test_rotation_symmetric_net_deck_exactness():
         assert edge_set[frozenset((deck[u], deck[v]))] == length
     # embedding intertwines the deck map and the rotation isometry
     for w in g.vertices:
-        assert hyp.dist(emb[deck[w]], hyp.project_to_sheet(rot @ emb[w])) < 1e-12
+        image = hyp.project_to_sheet(rot @ emb[g.index[w]])
+        assert hyp.dist(emb[g.index[deck[w]]], image) < 1e-12
 
 
 @st.composite
@@ -371,20 +374,19 @@ def test_dijkstra_matches_heap_oracle_on_rotation_net():
 
 def assert_net_matches_scalar_oracle(seed, order, radius, spacing):
     shape = dict(n=3, radius=radius, spacing=spacing)
-    vertices, edges, embedding = scalar_rotation_net(
+    vertices, edges, images = scalar_rotation_net(
         np.random.default_rng(seed), order=order, **shape)
     if order == 1:
         # the ball net is the order-1 rotation net with vertex (o, 0) named o
         g, emb = graphs.hyperbolic_ball_net(np.random.default_rng(seed), **shape)
         vertices = [o for o, _ in vertices]
         edges = [(u, v, d) for (u, _), (v, _), d in edges]
-        embedding = {o: p for (o, _), p in embedding.items()}
     else:
         g, emb, _, _ = graphs.rotation_symmetric_net(
             np.random.default_rng(seed), order=order, **shape)
     assert g.vertices == vertices
     assert g.edges == edges
-    assert all(np.array_equal(emb[v], embedding[v]) for v in vertices)
+    assert np.array_equal(emb, images)
 
 
 # radius 2.3-2.4 puts the net out where the Poincare cells of the pair search

@@ -36,19 +36,24 @@ def tree_cfg(s, radius=8.0, tol=1e-2):
 
 
 def star_fixture(t=1.0):
-    """Center with 2n leaves embedded at +-t along the coordinate axes."""
+    """Center c with 2n leaves l0, ..., l(2n-1) at +-t along the coordinate
+    axes: l(2i) at +t e_(i+1), l(2i+1) at -t e_(i+1)."""
     n = 3
     vertices = ["c"] + [f"l{i}" for i in range(2 * n)]
     edges = [("c", f"l{i}", 1.0) for i in range(2 * n)]
     g = MMGraph(vertices, edges)
     o = hyp.basepoint(n)
-    emb = {"c": o}
+    images = [o]
     for i in range(n):
         v = np.zeros(n + 1)
         v[i + 1] = t
-        emb[f"l{2 * i}"] = hyp.exp(o, v)
-        emb[f"l{2 * i + 1}"] = hyp.exp(o, -v)
-    return g, emb
+        images += [hyp.exp(o, v), hyp.exp(o, -v)]
+    return g, np.array(images)
+
+
+def nearest_to_origin(g, images):
+    """The vertex whose image lies closest to the basepoint of H^3."""
+    return g.vertices[int(np.argmin(hyp.dist_many(hyp.basepoint(3), images)))]
 
 
 def small_net(seed=9, radius=1.4, spacing=0.4):
@@ -72,7 +77,7 @@ def test_mu_weight_at_center_is_exact():
     atoms, weights, _ = mu_x_s(g, 0, tree_cfg(1.5))
     assert atoms.dtype == np.int64
     w = dict(zip(atoms.tolist(), weights.tolist()))
-    assert w[g.index[0]] == g.measure[0]  # e^0 term, exactly
+    assert w[g.index[0]] == g.measure[g.index[0]]  # e^0 term, exactly
 
 
 def test_mu_drops_zero_measure_atoms_and_keeps_distance_order():
@@ -91,13 +96,14 @@ def test_mu_drops_zero_measure_atoms_and_keeps_distance_order():
     keys = [(dists[i], i) for i in atoms.tolist()]
     assert keys == sorted(keys)
     assert np.all(weights > 0)
-    emb = {v: hyp.exp(hyp.basepoint(2), np.array([0.0, 0.1 * v, 0.0])) for v in vertices}
+    emb = np.array([hyp.exp(hyp.basepoint(2), np.array([0.0, 0.1 * v, 0.0]))
+                    for v in g.vertices])
     _, info = natural_map_point(g, emb, 0, cfg)
     assert info["atoms"].tolist() == atoms.tolist()
     sigma = info["sigma"]
     assert len(sigma) == 5 and sigma.labels.tolist() == [0, 1, 2, 3, 4]
     for v in (2, 5):
-        assert not np.any(np.all(sigma.sites == emb[v], axis=1))
+        assert not np.any(np.all(sigma.sites == emb[g.index[v]], axis=1))
 
 
 def test_mu_concentrates_for_large_s():
@@ -157,10 +163,10 @@ def test_source_gradients_match_the_per_fiber_loop():
     from barylab.naturalmap import _ring_rows, source_gradients
 
     g, emb = small_net(seed=21)
-    folded = {v: emb[g.vertices[2 * (g.index[v] // 2)]] for v in g.vertices}
+    folded = emb[2 * (np.arange(g.n) // 2)]
     cfg = NaturalMapConfig(s=2.5, truncation_radius=3.0, h_estimate=1.9,
                            tail_tolerance=5.0)
-    center = min(g.vertices, key=lambda v: hyp.dist(emb[v], hyp.basepoint(3)))
+    center = nearest_to_origin(g, emb)
     _, info = natural_map_point(g, folded, center, cfg)
     labels = info["sigma"].labels
     assert max(np.bincount(labels)) == 2
@@ -175,14 +181,14 @@ def test_source_gradients_match_the_per_fiber_loop():
 def test_natural_map_constant_embedding():
     g = graphs.regular_tree(3, 7)
     q = hyp.random_point(np.random.default_rng(1), 3, 1.0)
-    point, info = natural_map_point(g, lambda v: q, 0, tree_cfg(1.5, radius=6.0))
+    point, info = natural_map_point(g, np.tile(q, (g.n, 1)), 0, tree_cfg(1.5, radius=6.0))
     assert hyp.dist(point, q) < 1e-12
     assert info["tail_bound"] <= 1e-2 * float(np.sum(info["weights"]))
 
 
 def test_natural_map_two_s_values_smoke():
     g, emb = small_net()
-    center = min(g.vertices, key=lambda v: hyp.dist(emb[v], hyp.basepoint(3)))
+    center = nearest_to_origin(g, emb)
     cfg1 = NaturalMapConfig(s=2.4, truncation_radius=3.0, h_estimate=1.8,
                             tail_tolerance=5.0)
     p1, _ = natural_map_point(g, emb, center, cfg1)
@@ -294,10 +300,8 @@ def test_jacobian_mesh_isometric_embedding():
                                         radius=1.1, spacing=0.25,
                                         edge_factor=4.0)
     iso = hyp.random_isometry(np.random.default_rng(0), 3, spread=0.3)
-    moved = {v: hyp.project_to_sheet(iso @ emb[v]) for v in g.vertices}
-    center = min(g.vertices, key=lambda v: hyp.dist(emb[v], hyp.basepoint(3)))
-    value, ok = jacobian_mesh(g, moved, center, r=0.8)
-    assert ok
+    moved = np.array([hyp.project_to_sheet(iso @ p) for p in emb])
+    value = jacobian_mesh(g, moved, nearest_to_origin(g, emb), r=0.8)
     assert abs(value - 1.0) < 0.1
 
 
@@ -305,18 +309,12 @@ def test_jacobian_mesh_degenerate_images():
     g, emb = small_net(seed=5)
     center = g.vertices[0]
     q = hyp.random_point(np.random.default_rng(2), 3, 0.5)
-    value, ok = jacobian_mesh(g, lambda v: q, center, r=1.0)
-    assert value == 0.0 and not ok
+    assert math.isnan(jacobian_mesh(g, np.tile(q, (g.n, 1)), center, r=1.0))
     o = hyp.basepoint(3)
     e1 = np.zeros(4)
     e1[1] = 1.0
-    dists = g.dijkstra(center)
-
-    def collinear(v):
-        return hyp.exp(o, dists[v] * e1)
-
-    value, ok = jacobian_mesh(g, collinear, center, r=1.0)
-    assert value == 0.0 and not ok
+    collinear = np.array([hyp.exp(o, d * e1) for d in g.distances(center)])
+    assert math.isnan(jacobian_mesh(g, collinear, center, r=1.0))
 
 
 def test_run_and_entropy_volume_report():

@@ -119,6 +119,28 @@ def test_w1_metric_properties_random_triples():
             assert abs(d_mn - d_nm) < 1e-12
 
 
+# the metric axioms of W1 on normalized measures of H^n, with tolerances
+# fixed before the first run: symmetry within 1e-12 relative, the triangle
+# inequality within 1e-9, W1(mu, mu) <= 1e-12, and W1 > 0 between measures
+# whose supports are disjoint (random points never coincide)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 7), st.integers(1, 7),
+       st.sampled_from([2, 3, 5]), st.floats(0.05, 3.0))
+def test_w1_metric_axioms(seed, k, l, m, n, radius):
+    rng = np.random.default_rng(seed)
+    mu, nu, rho = (random_point_measure(rng, size, n, radius).normalize() for size in (k, l, m))
+    assert not np.any(np.all(mu.sites[:, None] == nu.sites[None], axis=-1))
+    d_mn, _ = wasserstein1(mu, nu, metric=hyp_metric)
+    d_nm, _ = wasserstein1(nu, mu, metric=hyp_metric)
+    d_nr, _ = wasserstein1(nu, rho, metric=hyp_metric)
+    d_mr, _ = wasserstein1(mu, rho, metric=hyp_metric)
+    d_mm, _ = wasserstein1(mu, mu, metric=hyp_metric)
+    assert abs(d_mn - d_nm) <= 1e-12 * max(d_mn, d_nm)
+    assert d_mr <= d_mn + d_nr + 1e-9
+    assert d_mm <= 1e-12
+    assert d_mn > 0
+
+
 def test_pushforward_identity_and_constant():
     mu = random_point_measure(RNG, 5)
     same = mu.pushforward(lambda s: s)
