@@ -27,7 +27,7 @@ from . import hyperboloid as hyp
 from .errors import ConfigurationError
 from .indices.simplicial import Pseudomanifold, SimplicialMap
 from .measures import DiscreteMeasure
-from .mmgraph import MMGraph
+from .mmgraph import MMGraph, freeze_vertex
 
 
 def load_json(path):
@@ -49,12 +49,8 @@ def load_measure(path) -> DiscreteMeasure:
         return DiscreteMeasure.from_json(fh.read())
 
 
-def _freeze_vertex(v):
-    return tuple(v) if isinstance(v, list) else v
-
-
 def load_complex(data) -> Pseudomanifold:
-    simplices = [tuple(_freeze_vertex(v) for v in s) for s in data["simplices"]]
+    simplices = [tuple(freeze_vertex(v) for v in s) for s in data["simplices"]]
     charts = data.get("charts")
     if charts is not None:
         charts = [np.array(c, dtype=float) for c in charts]
@@ -69,7 +65,7 @@ def load_simplicial_map(data) -> SimplicialMap:
     tgt_by_str = {str(v): v for v in target.vertices}
     vmap = {}
     for k, img in data["vertex_map"].items():
-        img = _freeze_vertex(img)
+        img = freeze_vertex(img)
         vmap[by_str[k]] = tgt_by_str.get(str(img), img)
     return SimplicialMap(domain, target, vmap)
 

@@ -20,7 +20,16 @@ from .errors import EmptyMeasureError, NonFiniteInputError
 def group_atoms(keys, weights):
     """Group atoms by hashable key in order of first appearance: the position
     of each distinct key's first atom, the summed weight of each group (added
-    in atom order) and each atom's group label."""
+    in atom order) and each atom's group label.  Keys given as an integer
+    array are grouped by a stable sort instead of a dict, with the same
+    result and no Python object per atom."""
+    if isinstance(keys, np.ndarray):
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        labels = rank[inverse]
+        return first[order], np.bincount(labels, weights), labels
     first_of = {}
     at = [first_of.setdefault(key, i) for i, key in enumerate(keys)]
     first = np.fromiter(first_of.values(), dtype=np.intp, count=len(first_of))
@@ -43,11 +52,13 @@ class DiscreteMeasure:
     `sites` is a (k, n+1) float array whose rows are points of H^n, or a
     list of hashable vertex ids.  A point's row tuple is its merge key.
     `labels[i]` is input atom i's site index, or -1 if its site was dropped.
+    `keys`, when given, are the atoms' merge keys in place of the sites
+    (hashables, or an integer array, equal exactly where the sites are).
     """
 
     __slots__ = ("sites", "weights", "labels")
 
-    def __init__(self, sites, weights):
+    def __init__(self, sites, weights, keys=None):
         points = isinstance(sites, np.ndarray)
         if points:
             sites = sites.astype(float, copy=False)
@@ -60,7 +71,8 @@ class DiscreteMeasure:
             raise NonFiniteInputError("measure weights and point coordinates must be finite")
         if (weights < 0).any():
             raise ValueError("negative weight in measure")
-        keys = map(tuple, sites.tolist()) if points else sites
+        if keys is None:
+            keys = map(tuple, sites.tolist()) if points else sites
         first, weights, labels = group_atoms(keys, weights)
         keep = weights != 0.0
         self.labels = labels if keep.all() else np.where(keep, np.cumsum(keep) - 1, -1)[labels]

@@ -26,6 +26,11 @@ from .errors import (
 
 # the largest (r_max - r_min) / step that volume_entropy accepts
 MAX_RADII = 10_000
+# distance_rows: labels and half-edges relaxed per block of a round; a
+# frontier of at least 1/FRONTIER_MASK_RATIO of the labels marks the next
+# frontier in a boolean array instead of deduplicating it
+BLOCK_HALF_EDGES = 1 << 12
+FRONTIER_MASK_RATIO = 32
 
 
 def _csr(n, tails):
@@ -37,13 +42,37 @@ def _csr(n, tails):
     return indptr, np.argsort(tails, kind="stable")
 
 
+def freeze_vertex(v):
+    """A vertex id read from JSON: an array becomes a tuple, and an id that
+    is still unhashable (an object, nested arrays) is a ValueError."""
+    v = tuple(v) if isinstance(v, list) else v
+    try:
+        hash(v)
+    except TypeError:
+        raise ValueError(f"vertex id {v!r} is not hashable") from None
+    return v
+
+
 def _out_edges(indptr, rows):
-    """Half-edge positions leaving each vertex of `rows`, row by row, and
-    the number per row."""
+    """Half-edge positions leaving each vertex of `rows`, row by row."""
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
     first = np.cumsum(counts) - counts
-    return np.arange(int(counts.sum())) + np.repeat(starts - first, counts), counts
+    return np.arange(int(counts.sum())) + np.repeat(starts - first, counts)
+
+
+def _blocks(ends, total, cap):
+    """Blocks of about `cap` half-edges of a frontier whose cumulative
+    half-edge counts are `ends` (`total` in all), a vertex never split:
+    (lo, hi, first, last) for frontier[lo:hi] and its half-edges
+    first:last in frontier order."""
+    if total <= cap:
+        return [(0, len(ends), 0, total)]
+    cuts = np.searchsorted(ends, np.arange(cap, total, cap), side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [len(ends)])))
+    offsets = np.concatenate(([0], ends))[bounds].tolist()
+    bounds = bounds.tolist()
+    return zip(bounds[:-1], bounds[1:], offsets[:-1], offsets[1:])
 
 
 def _component_labels(indptr, target):
@@ -55,7 +84,7 @@ def _component_labels(indptr, target):
         frontier = unlabelled[:1]
         labels[frontier] = label
         while frontier.size:
-            heads = target[_out_edges(indptr, frontier)[0]]
+            heads = target[_out_edges(indptr, frontier)]
             frontier = np.unique(heads[labels[heads] < 0])
             labels[frontier] = label
         label += 1
@@ -147,29 +176,89 @@ class MMGraph:
 
     def distances(self, source, cutoff=None):
         """Shortest-path distances from `source` as one float array indexed
-        like `vertices`; vertices beyond `cutoff` read inf.
+        like `vertices`; vertices beyond `cutoff` read inf.  This is row 0
+        of `distance_rows([source], cutoff)`."""
+        return self.distance_rows([source], cutoff)[0]
 
-        Computed by label-correcting relaxation (Bellman, 1958): each round
-        relaxes the out-edges of the vertices whose label just improved.
-        With positive lengths this reaches the float fixed point
-        d[j] = min_u fl(d[u] + w(u, j)), the same values a heap-based
-        Dijkstra settles.
+    def distance_rows(self, sources, cutoff=None):
+        """Shortest-path distances from each of `sources` as one (k, n) float
+        array, row i indexed like `vertices` for source i; vertices beyond
+        `cutoff` read inf.
+
+        Computed by label-correcting relaxation (Bellman, 1958) on one label
+        array for all k rows: each round relaxes the out-edges of the
+        (row, vertex) labels that improved in the round before.  Labels
+        only decrease, and fl(a + w) is monotone in a, so any such order
+        ends at the same float fixed point d[j] = min_u fl(d[u] + w(u, j))
+        (with candidates beyond `cutoff` dropped): the values a heap-based
+        Dijkstra settles, whatever the blocks, the frontier order or the
+        other rows.
+
+        A round is relaxed in blocks of at most BLOCK_HALF_EDGES frontier
+        labels and about as many half-edges (a vertex's out-edges are never
+        split), which bounds its temporary arrays however many rows there
+        are.  The next frontier is the set of improved labels.  From a
+        frontier of fewer than the k*n labels over FRONTIER_MASK_RATIO it
+        is deduplicated in O(candidates) (the last write of each label in a
+        scratch index array wins), so long paths and small cutoff balls
+        cost O(frontier) a round; from a larger one each block marks its
+        labels in a k*n boolean array, read back sorted by `np.flatnonzero`.
         """
-        if source not in self.index:
-            raise GraphLookupError(f"unknown vertex {source!r}")
-        limit = np.inf if cutoff is None else cutoff
-        dist = np.full(self.n, np.inf)
-        dist[self.index[source]] = 0.0
-        frontier = np.array([self.index[source]])
+        k, n = len(sources), self.n
+        frontier = np.array([i * n + self._position(v) for i, v in enumerate(sources)],
+                            dtype=np.int64)
+        dist = np.full((k, n), np.inf)
+        labels = dist.reshape(-1)
+        labels[frontier] = 0.0
+        marks = stamps = None
         while frontier.size:
-            half, counts = _out_edges(self._indptr, frontier)
-            cand = np.repeat(dist[frontier], counts) + self._length[half]
-            heads = self._target[half]
-            better = (cand < dist[heads]) & (cand <= limit)
-            cand, heads = cand[better], heads[better]
-            np.minimum.at(dist, heads, cand)
-            frontier = np.unique(heads)
+            mark = frontier.size * FRONTIER_MASK_RATIO >= labels.size
+            if mark and marks is None:
+                marks = np.zeros(labels.size, dtype=bool)
+            improved = []
+            for lo in range(0, frontier.size, BLOCK_HALF_EDGES):
+                part = frontier[lo:lo + BLOCK_HALF_EDGES]
+                verts = part % n if k > 1 else part
+                stops = self._indptr[1:][verts]
+                counts = stops - self._indptr[verts]
+                ends = np.cumsum(counts)
+                total = int(ends[-1])
+                shift = stops - ends  # a half-edge's index is shift + its position in part
+                for a, b, first, last in _blocks(ends, total, BLOCK_HALF_EDGES):
+                    at, c = part[a:b], counts[a:b]
+                    half = np.repeat(shift[a:b], c) + np.arange(first, last)
+                    cand = np.repeat(labels[at], c) + self._length[half]
+                    head = self._target[half]
+                    if k > 1:
+                        head += np.repeat(at - verts[a:b], c)
+                    better = cand < labels[head]
+                    if cutoff is not None:
+                        better &= cand <= cutoff
+                    # integer indices: boolean-mask indexing is ~4x slower here
+                    better = better.nonzero()[0]
+                    head = head[better]
+                    np.minimum.at(labels, head, cand[better])
+                    if mark:
+                        marks[head] = True
+                    else:
+                        improved.append(head)
+            if mark:
+                frontier = np.flatnonzero(marks)
+                marks[frontier] = False
+            else:
+                improved = improved[0] if len(improved) == 1 else np.concatenate(improved)
+                if stamps is None:
+                    stamps = np.empty(labels.size, dtype=np.int32)  # read only where written
+                order = np.arange(improved.size, dtype=np.int32)
+                stamps[improved] = order
+                frontier = improved[stamps[improved] == order]
         return dist
+
+    def _position(self, v):
+        try:
+            return self.index[v]
+        except (KeyError, TypeError):
+            raise GraphLookupError(f"unknown vertex {v!r}") from None
 
     def dijkstra(self, source, cutoff=None):
         """`distances` as a dict keyed by vertex id, omitting vertices beyond
@@ -196,13 +285,18 @@ class MMGraph:
 
     @classmethod
     def from_json(cls, text):
+        """The graph that `to_json` wrote.  JSON has no tuples, so a vertex
+        id written as an array (a cover's (vertex, sheet) pair) is read
+        back as a tuple (`freeze_vertex`)."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError(f"a graph is a JSON object, not {type(data).__name__}")
         measure = data.get("measure", {})
         if not isinstance(measure, dict):
             raise ValueError(f"a graph's measure is a JSON object, not {type(measure).__name__}")
-        return cls(data["vertices"], data["edges"], measure or None)
+        vertices = [freeze_vertex(v) for v in data["vertices"]]
+        edges = [(freeze_vertex(u), freeze_vertex(v), length) for u, v, length in data["edges"]]
+        return cls(vertices, edges, measure or None)
 
 
 # ---------------------------------------------------------------------------

@@ -162,29 +162,49 @@ def mu_x_s(cover: MMGraph, x, cfg: NaturalMapConfig, dists=None):
 # F_s and the tensors
 # ---------------------------------------------------------------------------
 
-def pushforward_with_fibers(weights, images):
+def image_sites(images):
+    """Each row's integer site label: equal rows of `images` share one.
+
+    Rows are compared as bytes after adding 0.0, which turns -0.0 into
+    0.0, so finite rows match exactly where their tuples compare equal;
+    no Python object is made per row.
+    """
+    rows = np.ascontiguousarray(images + 0.0)
+    as_bytes = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
+    return np.unique(as_bytes, return_inverse=True)[1]
+
+
+def pushforward_with_fibers(weights, images, site=None):
     """sigma: `weights` pushed to the rows of `images`, equal rows merged in
-    order of first appearance; `sigma.labels` holds each atom's fiber."""
-    return DiscreteMeasure(images, weights)
+    order of first appearance; `sigma.labels` holds each atom's fiber.
+
+    `site`, when given, holds each row's `image_sites` label, and the rows
+    are grouped by these integers instead of by their float tuples: the
+    same groups in the same order, so the same sigma.
+    """
+    return DiscreteMeasure(images, weights, keys=site)
 
 
-def _pushforward_barycenter(cover: MMGraph, images, x, cfg: NaturalMapConfig, dists=None):
+def _pushforward_barycenter(cover: MMGraph, images, x, cfg: NaturalMapConfig, dists=None,
+                            site=None):
     """mu_x_s, its pushforward sigma along `images` and the barycenter of
     sigma, as natural_map_point's info dict; "atoms" holds the vertex
-    indices of the mu atoms and "weights" their mu weights."""
+    indices of the mu atoms and "weights" their mu weights.  `site` is
+    `image_sites(images)`; without it sigma groups the row tuples."""
     atoms, weights, tail = mu_x_s(cover, x, cfg, dists=dists)
-    sigma = pushforward_with_fibers(weights, images[atoms])
+    sigma = pushforward_with_fibers(weights, images[atoms], None if site is None else site[atoms])
     res = barycenter(sigma.normalize(), tol=SOLVER_TOL)
     return {"atoms": atoms, "weights": weights, "sigma": sigma, "tail_bound": tail, "solver": res}
 
 
-def natural_map_point(cover: MMGraph, images, x, cfg: NaturalMapConfig):
+def natural_map_point(cover: MMGraph, images, x, cfg: NaturalMapConfig, site=None):
     """F_s(x): the barycenter of the normalized pushforward measure.
 
     Returns (coordinates of F_s(x), info) with mu's atoms and weights, its
     pushforward sigma, the tail bound and the solver record in `info`.
+    `site` (`image_sites(images)`) saves grouping the image rows per call.
     """
-    info = _pushforward_barycenter(cover, images, x, cfg)
+    info = _pushforward_barycenter(cover, images, x, cfg, site=site)
     return info["solver"].coords, info
 
 
@@ -210,9 +230,10 @@ def _one_ring(cover: MMGraph, x):
     return sorted(dict.fromkeys(u for u, _ in cover.neighbors(x) if u != x), key=str)
 
 
-def _ring_rows(cover: MMGraph, x):
-    """The (k, n) distance rows of the one-ring of x, in `_one_ring` order."""
-    return np.array([cover.distances(u) for u in _one_ring(cover, x)])
+def sample_rows(cover: MMGraph, x):
+    """The distance rows of x and of its one-ring (in `_one_ring` order),
+    as one (1 + k, n) array from one relaxation: row 0 is x's."""
+    return cover.distance_rows([x, *_one_ring(cover, x)])
 
 
 def source_gradients(cover: MMGraph, x, dists, ring, atoms, weights, labels, dim):
@@ -266,18 +287,17 @@ class TensorSet:
 
 
 def assemble_tensors(cover: MMGraph, images, x, cfg: NaturalMapConfig,
-                     dists=None, ring=None) -> TensorSet:
+                     rows=None, site=None) -> TensorSet:
     """Build the full tensor set at the natural-map image of x.
 
-    `dists` (x's distance row) and `ring` (the distance rows of its
-    one-ring) are computed when omitted.
+    `rows` (`sample_rows(cover, x)`) is computed when omitted; `site`
+    (`image_sites(images)`) saves grouping the image rows per call.
     """
     dim = images.shape[1] - 1
-    if dists is None:
-        dists = cover.distances(x)
-    if ring is None:
-        ring = _ring_rows(cover, x)
-    info = _pushforward_barycenter(cover, images, x, cfg, dists)
+    if rows is None:
+        rows = sample_rows(cover, x)
+    dists, ring = rows[0], rows[1:]
+    info = _pushforward_barycenter(cover, images, x, cfg, dists, site)
     y = info["solver"].coords
 
     weights = info["sigma"].weights
@@ -354,8 +374,8 @@ def jacobian_mesh(cover: MMGraph, images, x, r, dim=None):
     if len(sing) < dim or sing[dim - 1] <= 1e-9 * max(sing[0], 1e-300):
         return math.nan
     # source chart: MDS on pairwise distances within the ball
-    rows = [cover.distances(cover.vertices[i], cutoff=2.0 * r + 1e-9) for i in verts]
-    pair = np.take(np.array(rows), verts, axis=1)
+    rows = cover.distance_rows([cover.vertices[i] for i in verts], cutoff=2.0 * r + 1e-9)
+    pair = np.take(rows, verts, axis=1)  # C order: the row means add as before
     pair[pair == np.inf] = 2.0 * r
     sq = pair**2
     row = sq.mean(axis=1)
@@ -447,9 +467,10 @@ def gates(record: PointRecord, h0: float):
 def deck_equivariance(cover: MMGraph, images, deck, rot, xs, cfg: NaturalMapConfig):
     """The gate max over x in `xs` of d(F(deck x), rot F(x)) < 1e-6."""
     worst = 0.0
+    site = image_sites(images)
     for x in xs:
-        fx, _ = natural_map_point(cover, images, x, cfg)
-        fgx, _ = natural_map_point(cover, images, deck[x], cfg)
+        fx, _ = natural_map_point(cover, images, x, cfg, site)
+        fgx, _ = natural_map_point(cover, images, deck[x], cfg, site)
         worst = max(worst, float(hyp.dist(fgx, hyp.project_to_sheet(rot @ fx))))
     return Gate("deck_equivariance", worst, 1e-6, worst < 1e-6)
 
@@ -492,20 +513,22 @@ def run_natural_map(cover: MMGraph, images, base_cfg: NaturalMapConfig,
                     sample_points, s_values=None, mesh_radius=None) -> NaturalMapRun:
     """Evaluate the pipeline at each sample point for each s.
 
-    Graph distances from each sample point and its one-ring are computed
-    once and shared across the s grid.
+    The image rows are grouped into sites once per run (`image_sites`), so
+    each pushforward groups integer labels.  The distance rows of each
+    sample point and its one-ring come from one `MMGraph.distance_rows`
+    call (`sample_rows`) and are shared across the s grid.
     """
     s_values = list(s_values) if s_values is not None else [base_cfg.s]
     records = []
     sample_measure = 0.0
+    site = image_sites(images)
     for x in sample_points:
         measure = float(cover.measure[cover.index[x]])
         sample_measure += measure
-        dists = cover.distances(x)
-        ring = _ring_rows(cover, x)
+        rows = sample_rows(cover, x)
         for s in s_values:
             cfg = replace(base_cfg, s=s)
-            tensors = assemble_tensors(cover, images, x, cfg, dists=dists, ring=ring)
+            tensors = assemble_tensors(cover, images, x, cfg, rows=rows, site=site)
             jac, cond = jacobian_formula(tensors.H, tensors.K, tensors.L, tensors.A, s)
             jm = (math.nan if mesh_radius is None
                   else jacobian_mesh(cover, images, x, mesh_radius, dim=tensors.dim))

@@ -64,6 +64,16 @@ def test_entropy_saturation_exit_code(tmp_path):
     assert code == 2
 
 
+def test_entropy_on_tuple_vertex_ids(tmp_path):
+    # JSON arrays as vertex ids, as to_json writes a cover's (vertex, sheet)
+    gpath = tmp_path / "pairs.json"
+    gpath.write_text('{"vertices": [[0,0],[0,1]], "edges": [[[0,0],[0,1],1.0]]}')
+    code, out, _ = run_cli(["entropy", str(gpath), "--rmin", "0", "--rmax", "0.5",
+                            "--step", "0.25", "--basepoint", "(0, 1)"], tmp_path)
+    assert code == 0
+    assert json.loads(out)["h"] == 0.0
+
+
 def test_missing_file_exit_code(tmp_path):
     code, _, _ = run_cli(["entropy", "no_such_file.json",
                           "--rmin", "1", "--rmax", "2"], tmp_path)
@@ -112,19 +122,20 @@ def test_wasserstein_graph_metric_one_dijkstra_per_source(tmp_path, monkeypatch)
     for name, m in (("mu", mu), ("nu", nu)):
         atoms = [{"site": site, "w": float(w)} for site, w in zip(m.sites, m.weights)]
         (tmp_path / f"{name}.json").write_text(json.dumps({"atoms": atoms}))
-    sources = []
-    distances = MMGraph.distances
+    calls = []
+    distance_rows = MMGraph.distance_rows
 
-    def counting(self, source, cutoff=None):
-        sources.append(source)
-        return distances(self, source, cutoff=cutoff)
+    def counting(self, sources, cutoff=None):
+        calls.append(list(sources))
+        return distance_rows(self, sources, cutoff=cutoff)
 
-    monkeypatch.setattr(MMGraph, "distances", counting)
+    monkeypatch.setattr(MMGraph, "distance_rows", counting)
     code, out, _ = run_cli(
         ["wasserstein", str(tmp_path / "mu.json"), str(tmp_path / "nu.json"),
          "--graph", str(tmp_path / "g.json")], tmp_path)
     assert code == 0
-    assert sorted(sources) == [0, 3, 9]
+    # one relaxation, one row per source
+    assert calls == [[0, 3, 9]]
     cost = [[heap_dijkstra(g, a)[b] for b in nu.sites] for a in mu.sites]
     assert abs(json.loads(out)["w1"] - brute_force_w1(mu, nu, cost)) < 1e-12
 
@@ -217,6 +228,9 @@ OFF_SHEET_SITES = ('{"atoms": [{"site": [1.1, 0.3, 0, 0], "w": 1}, '
     pytest.param(["entropy", "IN", "--rmin", "1", "--rmax", "2"], "[1, 2]", id="entropy-array"),
     pytest.param(["entropy", "IN", "--rmin", "1", "--rmax", "2"],
                  '{"vertices": [0, 1], "edges": [[0, 1, NaN]]}', id="graph-nan-length"),
+    pytest.param(["entropy", "IN", "--rmin", "0", "--rmax", "0.5", "--step", "0.25"],
+                 '{"vertices": [[[0], 1], [0, 1]], "edges": [[[[0], 1], [0, 1], 1.0]]}',
+                 id="graph-unhashable-vertex"),
     pytest.param(["barycenter", "IN"], '{"atoms": [{"site": [1, 0, 0], "w": NaN}]}',
                  id="measure-nan-weight"),
     pytest.param(["barycenter", "IN"], '{"atoms": [{"site": [Infinity, 0, 0], "w": 1}]}',
@@ -593,3 +607,43 @@ def test_naturalmap_output_pinned(config, csv_sha, stdout_sha, tmp_path):
                      if not line.startswith('  "run_csv": '))
     assert hashlib.sha256(files["naturalmap_run.csv"]).hexdigest() == csv_sha
     assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha
+
+
+def wasserstein_graph_files(tmp_path):
+    """Measures on 5 and 6 vertices of the 189-vertex ball net (float edge
+    lengths), written with the graph for `wasserstein --graph`."""
+    g, _ = graphs.hyperbolic_ball_net(np.random.default_rng(5), n=3, radius=1.5,
+                                      spacing=0.45)
+    (tmp_path / "g.json").write_text(g.to_json())
+    sides = {"mu": ([3, 17, 40, 88, 150], [0.1, 0.3, 0.2, 0.15, 0.25]),
+             "nu": ([0, 21, 64, 99, 120, 188], [0.2, 0.1, 0.25, 0.05, 0.3, 0.1])}
+    for name, (sites, weights) in sides.items():
+        atoms = [{"site": site, "w": w} for site, w in zip(sites, weights)]
+        (tmp_path / f"{name}.json").write_text(json.dumps({"atoms": atoms}))
+    return [str(tmp_path / name) for name in ("mu.json", "nu.json", "g.json")]
+
+
+def test_wasserstein_graph_plan_pinned(tmp_path):
+    """`wasserstein --graph` writes the plan recorded at commit 7363a7c: the
+    sha256 of plan.csv without its version/digest line (the digest covers
+    the input paths).  It moves under the same rule as
+    test_naturalmap_output_pinned."""
+    mu, nu, graph = wasserstein_graph_files(tmp_path)
+    code, out, files = run_cli(["wasserstein", mu, nu, "--graph", graph], tmp_path)
+    assert code == 0
+    body = files["plan.csv"].split(b"\n", 1)[1]
+    assert (hashlib.sha256(body).hexdigest()
+            == "930ee6bebe9cb25d962f33a42b8e94a4a9059db410583cc19b0ef557a4f5d612")
+    assert repr(json.loads(out)["w1"]) == "1.58124213685982"
+
+
+def test_naturalmap_mesh_radius_output_pinned(tmp_path):
+    """`naturalmap --seed 1` with a mesh radius writes the naturalmap_run.csv
+    recorded at commit 7363a7c.  It moves under the same rule as
+    test_naturalmap_output_pinned."""
+    cpath = tmp_path / "nm.json"
+    cpath.write_text(small_naturalmap(mesh_radius=0.6))
+    code, _, files = run_cli(["--seed", "1", "naturalmap", str(cpath)], tmp_path)
+    assert code == 0
+    assert (hashlib.sha256(files["naturalmap_run.csv"]).hexdigest()
+            == "8f069f2a828564bb4d7caeb1309dc5aa7bc544b9106ea801103814279e33beb4")

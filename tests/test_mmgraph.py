@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from barylab import graphs, hyperboloid as hyp
+from barylab import graphs, hyperboloid as hyp, mmgraph
 from barylab.errors import (
     DisconnectedCoverError,
     GraphLookupError,
@@ -289,6 +289,17 @@ def test_graph_json_roundtrip():
     gi = graphs.cycle_graph(5)
     gi2 = MMGraph.from_json(gi.to_json())
     assert gi2.vertices == gi.vertices
+    # tuple ids, written as JSON arrays, come back as tuples
+    cover = build_cover(graphs.heawood_graph(), {0: (1, 0)}).total
+    net, _, _, _ = graphs.rotation_symmetric_net(
+        np.random.default_rng(6), order=4, n=3, radius=1.5, spacing=0.45)
+    for g in (cover, net):
+        g2 = MMGraph.from_json(g.to_json())
+        assert g2.vertices == g.vertices and g2.edges == g.edges
+        assert np.array_equal(g2.measure, g.measure)
+        assert g2.to_json() == g.to_json()
+    with pytest.raises(ValueError):
+        MMGraph.from_json('{"vertices": [[[0], 1], [0, 1]], "edges": [[[[0], 1], [0, 1], 1.0]]}')
 
 
 def test_graph_validation_errors():
@@ -361,6 +372,57 @@ def test_dijkstra_matches_heap_oracle(g, data):
     cutoff = data.draw(st.sampled_from([None, 0.0, 0.3, 1.0, 1.5, 2.75]))
     got = g.dijkstra(source, cutoff=cutoff)
     assert list(got.items()) == list(heap_dijkstra(g, source, cutoff=cutoff).items())
+
+
+def heap_rows(g, sources, cutoff=None):
+    """heap_dijkstra from each source as a (k, n) array, inf where unreached."""
+    rows = np.full((len(sources), g.n), np.inf)
+    for row, source in zip(rows, sources):
+        for v, d in heap_dijkstra(g, source, cutoff=cutoff).items():
+            row[g.index[v]] = d
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(weighted_graphs(), st.data())
+def test_distance_rows_match_heap_oracle(g, data):
+    # k sources with repeats, each cutoff of the dijkstra property, blocks
+    # of 1 or 3 labels up to the default cap, and frontiers always
+    # deduplicated, as by default, or always marked
+    sources = data.draw(st.lists(st.sampled_from(g.vertices), min_size=1, max_size=30))
+    cutoff = data.draw(st.sampled_from([None, 0.0, 0.3, 1.0, 1.5, 2.75]))
+    cap = data.draw(st.sampled_from([1, 3, mmgraph.BLOCK_HALF_EDGES]))
+    ratio = data.draw(st.sampled_from([0, mmgraph.FRONTIER_MASK_RATIO, 10**9]))
+    saved = mmgraph.BLOCK_HALF_EDGES, mmgraph.FRONTIER_MASK_RATIO
+    mmgraph.BLOCK_HALF_EDGES, mmgraph.FRONTIER_MASK_RATIO = cap, ratio
+    try:
+        rows = g.distance_rows(sources, cutoff=cutoff)
+    finally:
+        mmgraph.BLOCK_HALF_EDGES, mmgraph.FRONTIER_MASK_RATIO = saved
+    assert rows.shape == (len(sources), g.n)
+    assert np.array_equal(rows, heap_rows(g, sources, cutoff))
+
+
+def test_distance_rows_blocked_rounds_on_rotation_net(monkeypatch):
+    # a row from every vertex of the 184-vertex net: the widest rounds hold
+    # more than BLOCK_HALF_EDGES half-edges, so they are relaxed in blocks
+    g, _, _, _ = graphs.rotation_symmetric_net(
+        np.random.default_rng(6), order=4, n=3, radius=1.5, spacing=0.45)
+    blocks = []
+    split = mmgraph._blocks
+
+    def spy(ends, total, cap):
+        out = list(split(ends, total, cap))
+        blocks.append(len(out))
+        return out
+
+    monkeypatch.setattr(mmgraph, "_blocks", spy)
+    sources = g.vertices[::-1] + g.vertices[:2]
+    for cutoff in (None, 0.9):
+        blocks.clear()
+        rows = g.distance_rows(sources, cutoff=cutoff)
+        assert np.array_equal(rows, heap_rows(g, sources, cutoff))
+        assert max(blocks) > 1
 
 
 def test_dijkstra_matches_heap_oracle_on_rotation_net():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from barylab import graphs, hyperboloid as hyp
-from barylab.errors import ConfigurationError, TruncationError
+from barylab.errors import ConfigurationError, NonFiniteInputError, TruncationError
 from barylab.measures import DiscreteMeasure
 from barylab.mmgraph import MMGraph, build_cover
 from barylab.naturalmap import (
@@ -15,6 +15,7 @@ from barylab.naturalmap import (
     deck_equivariance,
     entropy_volume_report,
     gates,
+    image_sites,
     jacobian_formula,
     jacobian_mesh,
     mu_x_s,
@@ -147,20 +148,63 @@ def test_mu_deck_equivariance_exact():
 
 
 def test_pushforward_groups_equal_images_in_first_appearance_order():
-    # first appearance B, C, A against the sorted order A, B, C
+    # first appearance B, C, A against the sorted order A, B, C; -0.0 and
+    # 0.0 are one coordinate, grouped by row tuples or by image_sites labels
     images = np.array([[1.0, 2.0], [3.0, 0.0], [1.0, 2.0], [0.5, 0.0], [3.0, 0.0], [1.0, 2.0]])
+    signed = images.copy()
+    signed[4, 1] = -0.0
     w = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.7])
-    sigma = pushforward_with_fibers(w, images)
-    assert sigma.sites.tolist() == [[1.0, 2.0], [3.0, 0.0], [0.5, 0.0]]
-    assert sigma.labels.tolist() == [0, 1, 0, 2, 1, 0]
-    assert sigma.weights.tolist() == [0.0 + 0.1 + 0.3 + 0.7, 0.0 + 0.2 + 0.5, 0.4]
+    for rows in (images, signed):
+        for site in (None, image_sites(rows)):
+            sigma = pushforward_with_fibers(w, rows, site)
+            assert sigma.sites.tolist() == [[1.0, 2.0], [3.0, 0.0], [0.5, 0.0]]
+            assert sigma.labels.tolist() == [0, 1, 0, 2, 1, 0]
+            assert sigma.weights.tolist() == [0.0 + 0.1 + 0.3 + 0.7, 0.0 + 0.2 + 0.5, 0.4]
+
+
+def test_sigma_from_site_labels_equals_the_row_grouping():
+    # the folding embedding gives fibers of two atoms; zeroing one atom of
+    # a fiber keeps its site, zeroing both drops it (labels read -1)
+    g, emb = small_net(seed=21)
+    folded = emb[2 * (np.arange(g.n) // 2)]
+    cfg = NaturalMapConfig(s=2.5, truncation_radius=3.0, h_estimate=1.9,
+                           tail_tolerance=5.0)
+    atoms, weights, _ = mu_x_s(g, nearest_to_origin(g, emb), cfg)
+    site = image_sites(folded)
+    pairs = 2 * (np.arange(g.n) // 2)
+    assert np.array_equal(site[pairs], site) and len(np.unique(site)) == (g.n + 1) // 2
+    fiber = next(f for f in (np.flatnonzero(site[atoms] == label) for label in site[atoms])
+                 if len(f) == 2)
+    cases = [weights, weights.copy(), weights.copy()]
+    cases[1][fiber[0]] = 0.0
+    cases[2][fiber] = 0.0
+    sigmas = []
+    for w in cases:
+        by_label = pushforward_with_fibers(w, folded[atoms], site[atoms])
+        by_rows = DiscreteMeasure(folded[atoms], w)
+        assert np.array_equal(by_label.sites, by_rows.sites)
+        assert np.array_equal(by_label.weights, by_rows.weights)
+        assert np.array_equal(by_label.labels, by_rows.labels)
+        sigmas.append(by_label)
+    assert max(np.bincount(sigmas[0].labels)) == 2
+    assert len(sigmas[1]) == len(sigmas[0]) and -1 not in sigmas[1].labels.tolist()
+    assert len(sigmas[2]) == len(sigmas[0]) - 1
+    assert sigmas[2].labels[fiber].tolist() == [-1, -1]
+    # the measure's own checks still run on labelled input
+    bad = weights.copy()
+    bad[0] = -bad[0]
+    with pytest.raises(ValueError):
+        pushforward_with_fibers(bad, folded[atoms], site[atoms])
+    bad[0] = math.nan
+    with pytest.raises(NonFiniteInputError):
+        pushforward_with_fibers(bad, folded[atoms], site[atoms])
 
 
 def test_source_gradients_match_the_per_fiber_loop():
     # a folding embedding (pairs of vertices share an image) makes fibers
     # of two atoms; the arithmetic differs from the loop only in the order
     # of fiber sums and in x*x for pow(x, 2), so 1e-12 is set beforehand
-    from barylab.naturalmap import _ring_rows, source_gradients
+    from barylab.naturalmap import sample_rows, source_gradients
 
     g, emb = small_net(seed=21)
     folded = emb[2 * (np.arange(g.n) // 2)]
@@ -170,8 +214,9 @@ def test_source_gradients_match_the_per_fiber_loop():
     _, info = natural_map_point(g, folded, center, cfg)
     labels = info["sigma"].labels
     assert max(np.bincount(labels)) == 2
-    G = source_gradients(g, center, g.distances(center), _ring_rows(g, center),
-                         info["atoms"], info["weights"], labels, 3)
+    rows = sample_rows(g, center)
+    G = source_gradients(g, center, rows[0], rows[1:], info["atoms"], info["weights"],
+                         labels, 3)
     mu = on_ids(g, info["atoms"], info["weights"])
     sites, G_loop = loop_source_gradients(g, center, mu, folded, 3)
     assert np.array_equal(info["sigma"].sites, sites)
