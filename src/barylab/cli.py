@@ -119,7 +119,7 @@ def cmd_wasserstein(args):
     if args.graph:
         g = load_graph(args.graph)
         targets = [g.index[g.vertex(b)] for b in nu.sites]
-        cost = np.take(g.distance_rows([g.vertex(a) for a in mu.sites]), targets, axis=1)
+        cost = g.distance_rows([g.vertex(a) for a in mu.sites], columns=targets)
     else:
         cost = hyp.dist(mu.sites[:, None], nu.sites[None])
     value, plan = wasserstein1(mu, nu, cost=cost)

@@ -26,11 +26,10 @@ from .errors import (
 
 # the largest (r_max - r_min) / step that volume_entropy accepts
 MAX_RADII = 10_000
-# distance_rows: labels and half-edges relaxed per block of a round; a
-# frontier of at least 1/FRONTIER_MASK_RATIO of the labels marks the next
-# frontier in a boolean array instead of deduplicating it
+# distance_rows: labels and half-edges relaxed per block of a round, and
+# labels relaxed at once (more sources are taken in chunks of whole rows)
 BLOCK_HALF_EDGES = 1 << 12
-FRONTIER_MASK_RATIO = 32
+CHUNK_LABELS = 1 << 18
 
 
 def _csr(n, tails):
@@ -180,10 +179,11 @@ class MMGraph:
         of `distance_rows([source], cutoff)`."""
         return self.distance_rows([source], cutoff)[0]
 
-    def distance_rows(self, sources, cutoff=None):
+    def distance_rows(self, sources, cutoff=None, columns=None):
         """Shortest-path distances from each of `sources` as one (k, n) float
         array, row i indexed like `vertices` for source i; vertices beyond
-        `cutoff` read inf.
+        `cutoff` read inf.  Given `columns` (vertex indices), only those
+        columns are returned, as a (k, len(columns)) array.
 
         Computed by label-correcting relaxation (Bellman, 1958) on one label
         array for all k rows: each round relaxes the out-edges of the
@@ -197,24 +197,39 @@ class MMGraph:
         A round is relaxed in blocks of at most BLOCK_HALF_EDGES frontier
         labels and about as many half-edges (a vertex's out-edges are never
         split), which bounds its temporary arrays however many rows there
-        are.  The next frontier is the set of improved labels.  From a
-        frontier of fewer than the k*n labels over FRONTIER_MASK_RATIO it
-        is deduplicated in O(candidates) (the last write of each label in a
-        scratch index array wins), so long paths and small cutoff balls
-        cost O(frontier) a round; from a larger one each block marks its
-        labels in a k*n boolean array, read back sorted by `np.flatnonzero`.
+        are.  The next frontier is the set of improved labels, deduplicated
+        in O(candidates) (the last write of each label in a scratch index
+        array wins), so long paths and small cutoff balls cost O(frontier)
+        a round whatever k*n is.
+
+        Sources are relaxed CHUNK_LABELS // n rows at a time (at least
+        one), so however many sources there are, one relaxation holds at
+        most about CHUNK_LABELS labels: some 3 MB in the label array and
+        the scratch index array, and under 5 MB more in frontiers.  With
+        `columns`, only the kept columns of each chunk outlive it.
         """
+        sources = list(sources)
+        step = max(1, CHUNK_LABELS // self.n)
+        if len(sources) <= step:
+            dist = self._relax(sources, cutoff)
+            # np.take keeps C order, where dist[:, columns] may not
+            return dist if columns is None else np.take(dist, columns, axis=1)
+        out = np.empty((len(sources), self.n if columns is None else len(columns)))
+        for lo in range(0, len(sources), step):
+            dist = self._relax(sources[lo:lo + step], cutoff)
+            out[lo:lo + step] = dist if columns is None else np.take(dist, columns, axis=1)
+        return out
+
+    def _relax(self, sources, cutoff):
+        """The (k, n) rows of `distance_rows` for one chunk of sources."""
         k, n = len(sources), self.n
         frontier = np.array([i * n + self._position(v) for i, v in enumerate(sources)],
                             dtype=np.int64)
         dist = np.full((k, n), np.inf)
         labels = dist.reshape(-1)
         labels[frontier] = 0.0
-        marks = stamps = None
+        stamps = np.empty(labels.size, dtype=np.int32)  # read only where written
         while frontier.size:
-            mark = frontier.size * FRONTIER_MASK_RATIO >= labels.size
-            if mark and marks is None:
-                marks = np.zeros(labels.size, dtype=bool)
             improved = []
             for lo in range(0, frontier.size, BLOCK_HALF_EDGES):
                 part = frontier[lo:lo + BLOCK_HALF_EDGES]
@@ -238,20 +253,11 @@ class MMGraph:
                     better = better.nonzero()[0]
                     head = head[better]
                     np.minimum.at(labels, head, cand[better])
-                    if mark:
-                        marks[head] = True
-                    else:
-                        improved.append(head)
-            if mark:
-                frontier = np.flatnonzero(marks)
-                marks[frontier] = False
-            else:
-                improved = improved[0] if len(improved) == 1 else np.concatenate(improved)
-                if stamps is None:
-                    stamps = np.empty(labels.size, dtype=np.int32)  # read only where written
-                order = np.arange(improved.size, dtype=np.int32)
-                stamps[improved] = order
-                frontier = improved[stamps[improved] == order]
+                    improved.append(head)
+            improved = improved[0] if len(improved) == 1 else np.concatenate(improved)
+            order = np.arange(improved.size, dtype=np.int32)
+            stamps[improved] = order
+            frontier = improved[stamps[improved] == order]
         return dist
 
     def _position(self, v):

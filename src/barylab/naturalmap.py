@@ -162,49 +162,29 @@ def mu_x_s(cover: MMGraph, x, cfg: NaturalMapConfig, dists=None):
 # F_s and the tensors
 # ---------------------------------------------------------------------------
 
-def image_sites(images):
-    """Each row's integer site label: equal rows of `images` share one.
-
-    Rows are compared as bytes after adding 0.0, which turns -0.0 into
-    0.0, so finite rows match exactly where their tuples compare equal;
-    no Python object is made per row.
-    """
-    rows = np.ascontiguousarray(images + 0.0)
-    as_bytes = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
-    return np.unique(as_bytes, return_inverse=True)[1]
-
-
-def pushforward_with_fibers(weights, images, site=None):
+def pushforward_with_fibers(weights, images):
     """sigma: `weights` pushed to the rows of `images`, equal rows merged in
-    order of first appearance; `sigma.labels` holds each atom's fiber.
-
-    `site`, when given, holds each row's `image_sites` label, and the rows
-    are grouped by these integers instead of by their float tuples: the
-    same groups in the same order, so the same sigma.
-    """
-    return DiscreteMeasure(images, weights, keys=site)
+    order of first appearance; `sigma.labels` holds each atom's fiber."""
+    return DiscreteMeasure(images, weights)
 
 
-def _pushforward_barycenter(cover: MMGraph, images, x, cfg: NaturalMapConfig, dists=None,
-                            site=None):
+def _pushforward_barycenter(cover: MMGraph, images, x, cfg: NaturalMapConfig, dists=None):
     """mu_x_s, its pushforward sigma along `images` and the barycenter of
     sigma, as natural_map_point's info dict; "atoms" holds the vertex
-    indices of the mu atoms and "weights" their mu weights.  `site` is
-    `image_sites(images)`; without it sigma groups the row tuples."""
+    indices of the mu atoms and "weights" their mu weights."""
     atoms, weights, tail = mu_x_s(cover, x, cfg, dists=dists)
-    sigma = pushforward_with_fibers(weights, images[atoms], None if site is None else site[atoms])
+    sigma = pushforward_with_fibers(weights, images[atoms])
     res = barycenter(sigma.normalize(), tol=SOLVER_TOL)
     return {"atoms": atoms, "weights": weights, "sigma": sigma, "tail_bound": tail, "solver": res}
 
 
-def natural_map_point(cover: MMGraph, images, x, cfg: NaturalMapConfig, site=None):
+def natural_map_point(cover: MMGraph, images, x, cfg: NaturalMapConfig):
     """F_s(x): the barycenter of the normalized pushforward measure.
 
     Returns (coordinates of F_s(x), info) with mu's atoms and weights, its
     pushforward sigma, the tail bound and the solver record in `info`.
-    `site` (`image_sites(images)`) saves grouping the image rows per call.
     """
-    info = _pushforward_barycenter(cover, images, x, cfg, site=site)
+    info = _pushforward_barycenter(cover, images, x, cfg)
     return info["solver"].coords, info
 
 
@@ -287,17 +267,16 @@ class TensorSet:
 
 
 def assemble_tensors(cover: MMGraph, images, x, cfg: NaturalMapConfig,
-                     rows=None, site=None) -> TensorSet:
+                     rows=None) -> TensorSet:
     """Build the full tensor set at the natural-map image of x.
 
-    `rows` (`sample_rows(cover, x)`) is computed when omitted; `site`
-    (`image_sites(images)`) saves grouping the image rows per call.
+    `rows` (`sample_rows(cover, x)`) is computed when omitted.
     """
     dim = images.shape[1] - 1
     if rows is None:
         rows = sample_rows(cover, x)
     dists, ring = rows[0], rows[1:]
-    info = _pushforward_barycenter(cover, images, x, cfg, dists, site)
+    info = _pushforward_barycenter(cover, images, x, cfg, dists)
     y = info["solver"].coords
 
     weights = info["sigma"].weights
@@ -374,8 +353,8 @@ def jacobian_mesh(cover: MMGraph, images, x, r, dim=None):
     if len(sing) < dim or sing[dim - 1] <= 1e-9 * max(sing[0], 1e-300):
         return math.nan
     # source chart: MDS on pairwise distances within the ball
-    rows = cover.distance_rows([cover.vertices[i] for i in verts], cutoff=2.0 * r + 1e-9)
-    pair = np.take(rows, verts, axis=1)  # C order: the row means add as before
+    pair = cover.distance_rows([cover.vertices[i] for i in verts], cutoff=2.0 * r + 1e-9,
+                               columns=verts)  # C order: the row means add as before
     pair[pair == np.inf] = 2.0 * r
     sq = pair**2
     row = sq.mean(axis=1)
@@ -467,10 +446,9 @@ def gates(record: PointRecord, h0: float):
 def deck_equivariance(cover: MMGraph, images, deck, rot, xs, cfg: NaturalMapConfig):
     """The gate max over x in `xs` of d(F(deck x), rot F(x)) < 1e-6."""
     worst = 0.0
-    site = image_sites(images)
     for x in xs:
-        fx, _ = natural_map_point(cover, images, x, cfg, site)
-        fgx, _ = natural_map_point(cover, images, deck[x], cfg, site)
+        fx, _ = natural_map_point(cover, images, x, cfg)
+        fgx, _ = natural_map_point(cover, images, deck[x], cfg)
         worst = max(worst, float(hyp.dist(fgx, hyp.project_to_sheet(rot @ fx))))
     return Gate("deck_equivariance", worst, 1e-6, worst < 1e-6)
 
@@ -513,22 +491,20 @@ def run_natural_map(cover: MMGraph, images, base_cfg: NaturalMapConfig,
                     sample_points, s_values=None, mesh_radius=None) -> NaturalMapRun:
     """Evaluate the pipeline at each sample point for each s.
 
-    The image rows are grouped into sites once per run (`image_sites`), so
-    each pushforward groups integer labels.  The distance rows of each
-    sample point and its one-ring come from one `MMGraph.distance_rows`
-    call (`sample_rows`) and are shared across the s grid.
+    The distance rows of each sample point and its one-ring come from one
+    `MMGraph.distance_rows` call (`sample_rows`) and are shared across the
+    s grid.
     """
     s_values = list(s_values) if s_values is not None else [base_cfg.s]
     records = []
     sample_measure = 0.0
-    site = image_sites(images)
     for x in sample_points:
         measure = float(cover.measure[cover.index[x]])
         sample_measure += measure
         rows = sample_rows(cover, x)
         for s in s_values:
             cfg = replace(base_cfg, s=s)
-            tensors = assemble_tensors(cover, images, x, cfg, rows=rows, site=site)
+            tensors = assemble_tensors(cover, images, x, cfg, rows=rows)
             jac, cond = jacobian_formula(tensors.H, tensors.K, tensors.L, tensors.A, s)
             jm = (math.nan if mesh_radius is None
                   else jacobian_mesh(cover, images, x, mesh_radius, dim=tensors.dim))

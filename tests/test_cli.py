@@ -125,9 +125,9 @@ def test_wasserstein_graph_metric_one_dijkstra_per_source(tmp_path, monkeypatch)
     calls = []
     distance_rows = MMGraph.distance_rows
 
-    def counting(self, sources, cutoff=None):
+    def counting(self, sources, cutoff=None, columns=None):
         calls.append(list(sources))
-        return distance_rows(self, sources, cutoff=cutoff)
+        return distance_rows(self, sources, cutoff=cutoff, columns=columns)
 
     monkeypatch.setattr(MMGraph, "distance_rows", counting)
     code, out, _ = run_cli(

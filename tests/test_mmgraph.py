@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -387,20 +388,42 @@ def heap_rows(g, sources, cutoff=None):
 @given(weighted_graphs(), st.data())
 def test_distance_rows_match_heap_oracle(g, data):
     # k sources with repeats, each cutoff of the dijkstra property, blocks
-    # of 1 or 3 labels up to the default cap, and frontiers always
-    # deduplicated, as by default, or always marked
+    # of 1 or 3 labels up to the default cap, chunks of 1 or 3 rows up to
+    # the default, and all columns or some of them (with repeats)
     sources = data.draw(st.lists(st.sampled_from(g.vertices), min_size=1, max_size=30))
     cutoff = data.draw(st.sampled_from([None, 0.0, 0.3, 1.0, 1.5, 2.75]))
     cap = data.draw(st.sampled_from([1, 3, mmgraph.BLOCK_HALF_EDGES]))
-    ratio = data.draw(st.sampled_from([0, mmgraph.FRONTIER_MASK_RATIO, 10**9]))
-    saved = mmgraph.BLOCK_HALF_EDGES, mmgraph.FRONTIER_MASK_RATIO
-    mmgraph.BLOCK_HALF_EDGES, mmgraph.FRONTIER_MASK_RATIO = cap, ratio
+    chunk = data.draw(st.sampled_from([1, 3 * g.n, mmgraph.CHUNK_LABELS]))
+    columns = data.draw(st.none() | st.lists(st.integers(0, g.n - 1), max_size=8))
+    saved = mmgraph.BLOCK_HALF_EDGES, mmgraph.CHUNK_LABELS
+    mmgraph.BLOCK_HALF_EDGES, mmgraph.CHUNK_LABELS = cap, chunk
     try:
-        rows = g.distance_rows(sources, cutoff=cutoff)
+        rows = g.distance_rows(sources, cutoff=cutoff, columns=columns)
     finally:
-        mmgraph.BLOCK_HALF_EDGES, mmgraph.FRONTIER_MASK_RATIO = saved
-    assert rows.shape == (len(sources), g.n)
-    assert np.array_equal(rows, heap_rows(g, sources, cutoff))
+        mmgraph.BLOCK_HALF_EDGES, mmgraph.CHUNK_LABELS = saved
+    expected = heap_rows(g, sources, cutoff)
+    if columns is not None:
+        expected = expected[:, columns]
+    assert np.array_equal(rows, expected) and rows.flags.c_contiguous
+
+
+def test_distance_rows_memory_is_bounded_by_one_chunk():
+    # 300 rows of a 3070-vertex tree are 0.92M labels (7.4 MB of floats);
+    # taken CHUNK_LABELS // n rows at a time with six columns kept, the
+    # traced peak stays under 40 bytes a chunk label (measured: ~31)
+    g = graphs.regular_tree(3, 10)
+    sources = g.vertices[::10][:300]
+    columns = list(range(0, g.n, 600))
+    expected = np.array([g.distances(v)[columns] for v in sources])
+    tracemalloc.start()
+    try:
+        rows = g.distance_rows(sources, columns=columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rows, expected)
+    assert len(sources) * g.n > 3 * mmgraph.CHUNK_LABELS
+    assert peak < 40 * mmgraph.CHUNK_LABELS
 
 
 def test_distance_rows_blocked_rounds_on_rotation_net(monkeypatch):

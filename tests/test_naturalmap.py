@@ -15,7 +15,6 @@ from barylab.naturalmap import (
     deck_equivariance,
     entropy_volume_report,
     gates,
-    image_sites,
     jacobian_formula,
     jacobian_mesh,
     mu_x_s,
@@ -149,55 +148,69 @@ def test_mu_deck_equivariance_exact():
 
 def test_pushforward_groups_equal_images_in_first_appearance_order():
     # first appearance B, C, A against the sorted order A, B, C; -0.0 and
-    # 0.0 are one coordinate, grouped by row tuples or by image_sites labels
+    # 0.0 are one coordinate
     images = np.array([[1.0, 2.0], [3.0, 0.0], [1.0, 2.0], [0.5, 0.0], [3.0, 0.0], [1.0, 2.0]])
     signed = images.copy()
     signed[4, 1] = -0.0
     w = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.7])
     for rows in (images, signed):
-        for site in (None, image_sites(rows)):
-            sigma = pushforward_with_fibers(w, rows, site)
-            assert sigma.sites.tolist() == [[1.0, 2.0], [3.0, 0.0], [0.5, 0.0]]
-            assert sigma.labels.tolist() == [0, 1, 0, 2, 1, 0]
-            assert sigma.weights.tolist() == [0.0 + 0.1 + 0.3 + 0.7, 0.0 + 0.2 + 0.5, 0.4]
+        sigma = pushforward_with_fibers(w, rows)
+        assert sigma.sites.tolist() == [[1.0, 2.0], [3.0, 0.0], [0.5, 0.0]]
+        assert sigma.labels.tolist() == [0, 1, 0, 2, 1, 0]
+        assert sigma.weights.tolist() == [0.0 + 0.1 + 0.3 + 0.7, 0.0 + 0.2 + 0.5, 0.4]
 
 
-def test_sigma_from_site_labels_equals_the_row_grouping():
+def grouped_by_row_tuples(rows, w):
+    """Sites, weights and labels of the atoms grouped with their row tuples
+    as dict keys: first appearance order, weights added in atom order,
+    zero-weight groups dropped (label -1)."""
+    groups = {}
+    for i, key in enumerate(map(tuple, rows.tolist())):
+        groups.setdefault(key, []).append(i)
+    sites, weights, labels = [], [], np.full(len(rows), -1)
+    for members in groups.values():
+        total = sum(w[members].tolist(), 0.0)
+        if total != 0.0:
+            labels[members] = len(sites)
+            sites.append(rows[members[0]])
+            weights.append(total)
+    return np.array(sites), np.array(weights), labels
+
+
+def test_sigma_equals_the_row_tuple_grouping():
     # the folding embedding gives fibers of two atoms; zeroing one atom of
     # a fiber keeps its site, zeroing both drops it (labels read -1)
     g, emb = small_net(seed=21)
-    folded = emb[2 * (np.arange(g.n) // 2)]
+    pairs = 2 * (np.arange(g.n) // 2)
+    folded = emb[pairs]
     cfg = NaturalMapConfig(s=2.5, truncation_radius=3.0, h_estimate=1.9,
                            tail_tolerance=5.0)
     atoms, weights, _ = mu_x_s(g, nearest_to_origin(g, emb), cfg)
-    site = image_sites(folded)
-    pairs = 2 * (np.arange(g.n) // 2)
-    assert np.array_equal(site[pairs], site) and len(np.unique(site)) == (g.n + 1) // 2
-    fiber = next(f for f in (np.flatnonzero(site[atoms] == label) for label in site[atoms])
+    fiber = next(f for f in (np.flatnonzero(pairs[atoms] == v) for v in pairs[atoms])
                  if len(f) == 2)
     cases = [weights, weights.copy(), weights.copy()]
     cases[1][fiber[0]] = 0.0
     cases[2][fiber] = 0.0
     sigmas = []
     for w in cases:
-        by_label = pushforward_with_fibers(w, folded[atoms], site[atoms])
-        by_rows = DiscreteMeasure(folded[atoms], w)
-        assert np.array_equal(by_label.sites, by_rows.sites)
-        assert np.array_equal(by_label.weights, by_rows.weights)
-        assert np.array_equal(by_label.labels, by_rows.labels)
-        sigmas.append(by_label)
+        sigma = pushforward_with_fibers(w, folded[atoms])
+        sites, sums, labels = grouped_by_row_tuples(folded[atoms], w)
+        assert np.array_equal(sigma.sites, sites)
+        assert np.array_equal(sigma.weights, sums)
+        assert np.array_equal(sigma.labels, labels)
+        sigmas.append(sigma)
     assert max(np.bincount(sigmas[0].labels)) == 2
     assert len(sigmas[1]) == len(sigmas[0]) and -1 not in sigmas[1].labels.tolist()
     assert len(sigmas[2]) == len(sigmas[0]) - 1
     assert sigmas[2].labels[fiber].tolist() == [-1, -1]
-    # the measure's own checks still run on labelled input
+    # the measure's own checks run before any grouping
     bad = weights.copy()
     bad[0] = -bad[0]
     with pytest.raises(ValueError):
-        pushforward_with_fibers(bad, folded[atoms], site[atoms])
+        pushforward_with_fibers(bad, folded[atoms])
     bad[0] = math.nan
     with pytest.raises(NonFiniteInputError):
-        pushforward_with_fibers(bad, folded[atoms], site[atoms])
+        pushforward_with_fibers(bad, folded[atoms])
 
 
 def test_source_gradients_match_the_per_fiber_loop():
