@@ -20,7 +20,16 @@ from .errors import EmptyMeasureError, NonFiniteInputError
 def group_atoms(keys, weights):
     """Group atoms by hashable key in order of first appearance: the position
     of each distinct key's first atom, the summed weight of each group (added
-    in atom order) and each atom's group label."""
+    in atom order) and each atom's group label.  Keys given as a numpy
+    array (integers, or point rows viewed as bytes) are grouped by a sort
+    instead of a dict, with the same result and no Python object per atom."""
+    if isinstance(keys, np.ndarray):
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        labels = rank[inverse]
+        return first[order], np.bincount(labels, weights), labels
     first_of = {}
     at = [first_of.setdefault(key, i) for i, key in enumerate(keys)]
     first = np.fromiter(first_of.values(), dtype=np.intp, count=len(first_of))
@@ -41,7 +50,9 @@ class DiscreteMeasure:
     """An atomic measure: sites and parallel weights >= 0.
 
     `sites` is a (k, n+1) float array whose rows are points of H^n, or a
-    list of hashable vertex ids.  A point's row tuple is its merge key.
+    list of hashable vertex ids.  Points merge where their rows are equal as
+    floats: the rows are compared as bytes after adding 0.0, which turns
+    -0.0 into 0.0, so no Python object is made per atom.
     `labels[i]` is input atom i's site index, or -1 if its site was dropped.
     """
 
@@ -51,7 +62,7 @@ class DiscreteMeasure:
         points = isinstance(sites, np.ndarray)
         if points:
             sites = sites.astype(float, copy=False)
-            if sites.ndim != 2:
+            if sites.ndim != 2 or sites.shape[1] == 0:
                 raise ValueError("point sites must be one (k, n+1) array")
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (len(sites),):
@@ -60,7 +71,10 @@ class DiscreteMeasure:
             raise NonFiniteInputError("measure weights and point coordinates must be finite")
         if (weights < 0).any():
             raise ValueError("negative weight in measure")
-        keys = map(tuple, sites.tolist()) if points else sites
+        keys = sites
+        if points:
+            rows = np.ascontiguousarray(sites + 0.0)
+            keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
         first, weights, labels = group_atoms(keys, weights)
         keep = weights != 0.0
         self.labels = labels if keep.all() else np.where(keep, np.cumsum(keep) - 1, -1)[labels]

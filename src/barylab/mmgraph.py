@@ -29,7 +29,7 @@ MAX_RADII = 10_000
 # distance_rows: labels and half-edges relaxed per block of a round, and
 # labels relaxed at once (more sources are taken in chunks of whole rows)
 BLOCK_HALF_EDGES = 1 << 12
-CHUNK_LABELS = 1 << 12
+CHUNK_LABELS = 1 << 18
 
 
 def _csr(n, tails):
@@ -203,12 +203,10 @@ class MMGraph:
         a round whatever k*n is.
 
         Sources are relaxed CHUNK_LABELS // n rows at a time (at least
-        one) and each chunk is copied into the result, only its `columns`
-        if given; so however many sources there are, the temporaries are
-        those of one chunk, arrays of a few thousand entries.  Larger
-        chunks relax fewer rounds, but on the README natural-map net (20
-        rows of 1852 labels) they saved little time and took 2.5 times
-        the memory at their peak.
+        one), so however many sources there are, one relaxation holds at
+        most about CHUNK_LABELS labels: some 3 MB in the label array and
+        the scratch index array, and under 5 MB more in frontiers.  With
+        `columns`, only the kept columns of each chunk outlive it.
         """
         sources = list(sources)
         step = max(1, CHUNK_LABELS // self.n)
