@@ -28,7 +28,7 @@ from .errors import (
 MAX_RADII = 10_000
 # distance_rows: labels and half-edges relaxed per block of a round, and
 # labels relaxed at once (more sources are taken in chunks of whole rows)
-BLOCK_HALF_EDGES = 1 << 12
+BLOCK_HALF_EDGES = 1 << 14
 CHUNK_LABELS = 1 << 18
 
 
@@ -205,7 +205,8 @@ class MMGraph:
         Sources are relaxed CHUNK_LABELS // n rows at a time (at least
         one), so however many sources there are, one relaxation holds at
         most about CHUNK_LABELS labels: some 3 MB in the label array and
-        the scratch index array, and under 5 MB more in frontiers.  With
+        the scratch index array, and about 5 MB more in frontiers and
+        blocks.  With
         `columns`, only the kept columns of each chunk outlive it.
         """
         sources = list(sources)
@@ -251,9 +252,11 @@ class MMGraph:
                         better &= cand <= cutoff
                     # integer indices: boolean-mask indexing is ~4x slower here
                     better = better.nonzero()[0]
-                    head = head[better]
-                    np.minimum.at(labels, head, cand[better])
-                    improved.append(head)
+                    head, cand = head[better], cand[better]
+                    np.minimum.at(labels, head, cand)
+                    # a label improved by several candidates of the block is
+                    # kept once, by the one that won (ties aside)
+                    improved.append(head[(cand == labels[head]).nonzero()[0]])
             improved = improved[0] if len(improved) == 1 else np.concatenate(improved)
             order = np.arange(improved.size, dtype=np.int32)
             stamps[improved] = order
