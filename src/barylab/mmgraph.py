@@ -183,7 +183,8 @@ class MMGraph:
         """Shortest-path distances from each of `sources` as one (k, n) float
         array, row i indexed like `vertices` for source i; vertices beyond
         `cutoff` read inf.  Given `columns` (vertex indices), only those
-        columns are returned, as a (k, len(columns)) array.
+        columns are returned, as a (k, len(columns)) array.  Either array
+        is C-ordered.
 
         Computed by label-correcting relaxation (Bellman, 1958) on one label
         array for all k rows: each round relaxes the out-edges of the
@@ -206,8 +207,8 @@ class MMGraph:
         one), so however many sources there are, one relaxation holds at
         most about CHUNK_LABELS labels: some 3 MB in the label array and
         the scratch index array, and about 5 MB more in frontiers and
-        blocks.  With
-        `columns`, only the kept columns of each chunk outlive it.
+        blocks.  With `columns`, only the kept columns of each chunk
+        outlive it.
         """
         sources = list(sources)
         step = max(1, CHUNK_LABELS // self.n)

@@ -354,7 +354,7 @@ def jacobian_mesh(cover: MMGraph, images, x, r, dim=None):
         return math.nan
     # source chart: MDS on pairwise distances within the ball
     pair = cover.distance_rows([cover.vertices[i] for i in verts], cutoff=2.0 * r + 1e-9,
-                               columns=verts)  # C order: the row means add as before
+                               columns=verts)
     pair[pair == np.inf] = 2.0 * r
     sq = pair**2
     row = sq.mean(axis=1)
