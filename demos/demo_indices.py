@@ -14,7 +14,7 @@ from barylab.indices import (
     pre_count,
     stallings_index,
 )
-from barylab.indices import fixtures as ifx
+from barylab import fixtures as ifx
 
 print("== preimage counting and degree on covers ==")
 for k in (1, 2, 3):

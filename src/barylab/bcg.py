@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import BoundViolationError, OutsideDomainError
 
-SAMPLERS = ("wishart", "dirichlet", "boundary")
 CHUNK = 20_000  # samples per independently seeded block of a scan
 VIOLATION_RTOL = 1e-9
 
@@ -142,9 +141,10 @@ def bcg_bound(N: int, d: int = 1) -> float:
 
 
 def denominator_matrix(H, J):
-    D = np.eye(H.shape[0]) - H
+    """I - H - sum_i J_i H J_i for one H or a stack of them (..., N, N)."""
+    D = np.eye(H.shape[-1]) - H
     for Ji in J:
-        D = D - Ji @ H @ Ji
+        D = D - np.einsum("ij,...jk,kl->...il", Ji, H, Ji)
     return D
 
 
@@ -197,7 +197,8 @@ def _sample_boundary(rng, N, count):
     return np.einsum("cij,cj,ckj->cik", Q, eigs, Q)
 
 
-_SAMPLER_FNS = {
+# the samplers of a scan, in the order their shares of a block are drawn
+SAMPLERS = {
     "wishart": _sample_wishart,
     "dirichlet": _sample_dirichlet,
     "boundary": _sample_boundary,
@@ -240,15 +241,12 @@ class ScanReport:
 
 
 def _scan_block(N, d, size, rng, structures, bound):
+    # shares of `per`, the last sampler taking the rest (a tiny block, none)
     per = max(1, size // len(SAMPLERS))
-    blocks = []
-    for name in SAMPLERS:
-        take = per if name != SAMPLERS[-1] else size - per * (len(SAMPLERS) - 1)
-        blocks.append(_SAMPLER_FNS[name](rng, N, take))
-    H = np.concatenate(blocks, axis=0)
-    D = np.eye(N)[None, :, :] - H
-    for Ji in structures:
-        D = D - np.einsum("ij,cjk,kl->cil", Ji, H, Ji)
+    ends = [min(size, i * per) for i in range(1, len(SAMPLERS))] + [size]
+    H = np.concatenate([sample(rng, N, b - a)
+                        for sample, a, b in zip(SAMPLERS.values(), [0] + ends, ends)])
+    D = denominator_matrix(H, structures)
     d_eigs = np.linalg.eigvalsh(D)
     ok = d_eigs[:, 0] > 0
     ratios = np.full(size, np.nan)
@@ -279,20 +277,17 @@ def bcg_scan(N: int, d: int, count: int, rng=None, threads: int = 1) -> ScanRepo
     Any ratio above bound * (1 + 1e-9) aborts with the counterexample
     serialized in the exception.  The empirical deficit constant is the
     infimum over samples of (1 - sqrt(ratio/bound)) / sum_j (mu_j - 1/N)^2.
-    Chunks of CHUNK samples carry independently spawned RNG streams and are
-    merged in chunk order, so results are byte-identical for any thread count.
+    Chunks of CHUNK samples carry RNG streams spawned independently from
+    the int seed `rng` (None reads as 0) and are merged in chunk order, so
+    results are byte-identical for any thread count.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     bound = bcg_bound(N, d)
     structures = canonical_structures(N, d)
     sizes = [min(CHUNK, count - lo) for lo in range(0, count, CHUNK)]
-    if isinstance(rng, np.random.Generator):
-        seeds = rng.spawn(len(sizes))
-    else:
-        seeds = np.random.SeedSequence(rng if rng is not None else 0).spawn(len(sizes))
-        seeds = [np.random.default_rng(s) for s in seeds]
-    jobs = list(zip(sizes, seeds))
+    seeds = np.random.SeedSequence(rng if rng is not None else 0).spawn(len(sizes))
+    jobs = list(zip(sizes, map(np.random.default_rng, seeds)))
 
     def scan(job):
         return _scan_block(N, d, *job, structures, bound)

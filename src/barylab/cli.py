@@ -19,12 +19,12 @@ import sys
 
 import numpy as np
 
-from . import __version__, graphs, hyperboloid as hyp
+from . import __version__, fixtures, hyperboloid as hyp
 from .barycenter import barycenter
 from .bcg import bcg_scan
 from .errors import BarylabError, BoundViolationError, ConfigurationError, SolverFailureError
-from .indices import SimplicialMap, coarea_check, ind_H_degree, pre_count, stallings_index
-from .indices import fixtures as index_fixtures
+from .fixtures import NUMBER, NUMBERS, POSITIVE, interval
+from .indices import coarea_check, ind_H_degree, pre_count, stallings_index
 from .io import (
     load_embedding,
     load_graph,
@@ -132,74 +132,32 @@ def cmd_wasserstein(args):
     return 0
 
 
-def _build_naturalmap_fixture(spec, seed):
-    if not isinstance(spec, dict):
-        raise ConfigurationError(f"a naturalmap fixture is a JSON object, not {spec!r}")
-    kind = spec.get("type", "rotation_net")
-    shape = {"n": spec.get("dim", 3), "radius": spec.get("radius", 2.0),
-             "spacing": spec.get("spacing", 0.3), "edge_factor": spec.get("edge_factor", 2.0)}
-    rng = np.random.default_rng(seed)
-    if kind == "ball_net":
-        return (*graphs.hyperbolic_ball_net(rng, **shape), None, None)
-    if kind == "rotation_net":
-        return graphs.rotation_symmetric_net(rng, order=spec.get("order", 4), **shape)
-    raise ValueError(f"unknown naturalmap fixture type {kind!r}")
-
-
-def _finite_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _check_naturalmap_numbers(config):
-    """ConfigurationError, naming the field, unless each numeric field a
-    naturalmap config sets, at the top level, in "entropy" or in "fixture",
-    is a finite number in its domain: lengths and tolerances positive, the
-    fixture's dim and a rotation net's order integers >= 2."""
-    ew = config.get("entropy", {})
-    if not isinstance(ew, dict):
-        raise ConfigurationError(f"entropy must be a JSON object, not {ew!r}")
-    fixture = config.get("fixture", {})
-    fields = [(k, config) for k in ("truncation_radius", "tail_tolerance", "mesh_radius",
-                                    "h_override")]
-    fields += [(k, ew) for k in ("r_min", "r_max", "step")]
-    positive = ("truncation_radius", "tail_tolerance", "mesh_radius", "radius", "spacing",
-                "edge_factor")
-    counts = ("dim",)  # integers >= 2
-    if isinstance(fixture, dict):
-        fields += [(k, fixture) for k in ("dim", "radius", "spacing", "edge_factor", "order")]
-        if fixture.get("type", "rotation_net") == "rotation_net":
-            counts += ("order",)
-    for key, value in ((key, table[key]) for key, table in fields if key in table):
-        if not _finite_number(value):
-            raise ConfigurationError(f"{key} must be a finite number, not {value!r}")
-        if key in counts and not (isinstance(value, int) and value >= 2):
-            raise ConfigurationError(f"{key} must be an integer >= 2, not {value!r}")
-        if key in positive and not value > 0:
-            raise ConfigurationError(f"{key} must be positive, not {value!r}")
+# naturalmap's own fields, name -> (default, domain); a None default is unset
+NATURALMAP_FIELDS = {
+    "truncation_radius": (4.0, POSITIVE), "tail_tolerance": (2.0, POSITIVE),
+    "mesh_radius": (None, POSITIVE), "h_override": (None, NUMBER),
+    "num_samples": (12, interval(1, integer=True)),
+    "s_values": (None, NUMBERS), "s_factors": ([1.1, 1.5, 2.0], NUMBERS),
+}
+ENTROPY_FIELDS = {"r_min": (0.8, interval(0)), "r_max": (1.8, POSITIVE), "step": (0.25, POSITIVE)}
 
 
 def cmd_naturalmap(args):
     config = load_json(args.config)
-    seed = args.seed
-    key = "s_values" if "s_values" in config else "s_factors"
-    given = config.get(key, [1.1, 1.5, 2.0])
-    if not (isinstance(given, list) and given and all(map(_finite_number, given))):
-        raise ConfigurationError(f"{key} must be a non-empty list of finite numbers, "
-                                 f"not {given!r}")
-    _check_naturalmap_numbers(config)
+    opts = fixtures.read_fields(config, NATURALMAP_FIELDS, "a naturalmap config")
+    ew = fixtures.read_fields(config.get("entropy", {}), ENTROPY_FIELDS, "entropy")
     if "fixture" in config:
-        cover, images, deck, rot = _build_naturalmap_fixture(config["fixture"], seed)
+        cover, images, deck, rot = fixtures.from_spec(
+            config["fixture"], args.seed, builds=("net",), default="rotation_net")
     else:
         cover = load_graph(config["graph"])
         images = load_embedding(load_json(config["embedding"]), cover)
         deck = rot = None
-    ew = config.get("entropy", {})
     o = hyp.basepoint(images.shape[1] - 1)
     base = cover.vertices[int(np.argmin(hyp.dist_many(o, images)))]
-    est = volume_entropy(cover, base, ew.get("r_min", 0.8),
-                         ew.get("r_max", 1.8), step=ew.get("step", 0.25))
-    h_est = config.get("h_override", est.h)
-    s_values = list(given) if key == "s_values" else [f * h_est for f in given]
+    est = volume_entropy(cover, base, ew["r_min"], ew["r_max"], step=ew["step"])
+    h_est = est.h if opts["h_override"] is None else opts["h_override"]
+    s_values = opts["s_values"] or [f * h_est for f in opts["s_factors"]]
     floor = h_est + 3 * est.residual
     bad = [s for s in s_values if s <= floor]
     if bad:
@@ -208,23 +166,20 @@ def cmd_naturalmap(args):
         )
     cfg = NaturalMapConfig(
         s=s_values[0],
-        truncation_radius=config.get("truncation_radius", 4.0),
+        truncation_radius=opts["truncation_radius"],
         h_estimate=h_est,
         h_residual=est.residual,
-        tail_tolerance=config.get("tail_tolerance", 2.0),
+        tail_tolerance=opts["tail_tolerance"],
     )
     if "sample_points" in config:
         samples = [cover.vertex(v) for v in config["sample_points"]]
         if not samples:
             raise ConfigurationError("sample_points is empty")
     else:
-        k = config.get("num_samples", 12)
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            raise ConfigurationError(f"num_samples must be a positive integer, not {k!r}")
         dist0 = cover.dijkstra(base)
-        samples = sorted(cover.vertices, key=lambda v: (dist0[v], str(v)))[:k]
+        samples = sorted(cover.vertices, key=lambda v: (dist0[v], str(v)))[:opts["num_samples"]]
     run = run_natural_map(cover, images, cfg, samples, s_values=s_values,
-                          mesh_radius=config.get("mesh_radius"))
+                          mesh_radius=opts["mesh_radius"])
     n = run.records[0].tensors.dim
     h0 = n - 1
     report = entropy_volume_report(run, h0=h0)
@@ -269,8 +224,6 @@ def cmd_naturalmap(args):
 
 
 def cmd_bcg(args):
-    if args.N < 3:
-        raise BarylabError("the determinant inequality needs N >= 3")
     config = {"command": "bcg", "N": args.N, "d": args.d,
               "count": args.count, "seed": args.seed}
     report = bcg_scan(args.N, args.d, args.count, rng=args.seed,
@@ -292,9 +245,8 @@ def cmd_indices(args):
     out = dict(_stamp(config))
     smap = None
     if "fixture" in data:
-        smap, fixture_data = index_fixtures.from_spec(data["fixture"], rng=args.seed)
-        if not isinstance(smap, SimplicialMap):
-            raise ConfigurationError("indices needs a simplicial map, not a PL fixture")
+        smap, fixture_data = fixtures.from_spec(data["fixture"], args.seed,
+                                                builds=("simplicial map",))
         data = {**fixture_data, **data}
     elif "simplicial_map" in data:
         smap = load_simplicial_map(data["simplicial_map"])
@@ -325,7 +277,7 @@ def cmd_coarea(args):
     config = {"command": "coarea", "input": args.input,
               "samples": args.samples, "seed": args.seed}
     if "fixture" in data:
-        fmap, _ = index_fixtures.from_spec(data["fixture"], rng=args.seed)
+        fmap, _ = fixtures.from_spec(data["fixture"], args.seed)
     else:
         fmap = load_simplicial_map(data["simplicial_map"])
     report = coarea_check(fmap, samples=args.samples, rng=args.seed)

@@ -51,12 +51,16 @@ class WindowSaturationError(BarylabError, ValueError):
     """Entropy window reaches the whole (finite) graph; estimate meaningless."""
 
 
-class DisconnectedCoverError(BarylabError, ValueError):
-    """Voltage assignment yields a disconnected total graph."""
+class DisconnectedGraphError(BarylabError, ValueError):
+    """A graph splits into components, each a list of vertex ids."""
 
     def __init__(self, message, components=None):
         super().__init__(message)
         self.components = components or []
+
+
+class DisconnectedCoverError(DisconnectedGraphError):
+    """Voltage assignment yields a disconnected total graph."""
 
 
 class TruncationError(BarylabError, ValueError):

@@ -1,13 +1,13 @@
-"""Graph fixtures: trees, paths, cycles, roses, cage graphs and epsilon-nets
+"""Graph builders: trees, paths, cycles, roses, cage graphs and epsilon-nets
 of hyperbolic balls (with an optional rotational symmetry giving an exact
 deck action paired with a target isometry).  A net comes with its points as
 one (n, N+1) array `images` in the order of `graph.vertices`.
 
-Both nets come from one greedy construction, `_orbit_net`.  Every
-distance test it makes, for acceptance and for edges, goes through one pair
-search, `_pairs_within`, which buckets points in a grid of Poincare-ball
-cells so that a point meets only its neighbours; `hyp.dist` decides each
-pair.
+Both nets come from one greedy construction, `_orbit_net`, which draws at
+most MAX_NET_DRAWS sample points.  Every distance test it makes, for
+acceptance and for edges, goes through one pair search, `_pairs_within`,
+which buckets points in a grid of Poincare-ball cells so that a point
+meets only its neighbours; `hyp.dist` decides each pair.
 """
 
 from __future__ import annotations
@@ -17,7 +17,11 @@ import math
 import numpy as np
 
 from . import hyperboloid as hyp
+from .errors import ConfigurationError
 from .mmgraph import MMGraph
+
+# the most sample points a ball net draws (an (N+1)-float row each)
+MAX_NET_DRAWS = 2_000_000
 
 
 def regular_tree(k: int, depth: int, edge_length: float = 1.0) -> MMGraph:
@@ -207,10 +211,18 @@ def _orbit_net(rng, order, n, radius, spacing, edge_factor, oversample):
     greedy pass then settles.
 
     Returns (orbits, edges, rot): the (m, order, n+1) orbit points and the
-    edges within edge_factor * spacing on (orbit, step) ids.
+    edges within edge_factor * spacing on (orbit, step) ids.  A net that
+    would draw more than MAX_NET_DRAWS samples is a ConfigurationError,
+    raised before any is drawn.
     """
     rot = hyp.rotation(2 * math.pi / order, n, i=n - 1, j=n)
-    target = max(200, int(oversample * ball_volume(n, radius) / spacing**n / order))
+    # float64 powers and quotients leave the float range as inf or 0, not an exception
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        draws = oversample * ball_volume(n, radius) / np.float64(spacing) ** n / order
+    if not draws <= MAX_NET_DRAWS:
+        raise ConfigurationError(f"radius {radius!r}, spacing {spacing!r} and dim {n} make a net "
+                                 f"of {draws:.4g} draws, over the cap of {MAX_NET_DRAWS}")
+    target = max(200, int(draws))
     samples = _sample_ball(rng, n, radius, target)
     kept = np.empty((64, order, n + 1))
     filled = 0

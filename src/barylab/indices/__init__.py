@@ -5,7 +5,6 @@
   index, and the coarea identity check.
 - `stallings`: core graphs of finitely generated free-group subgroups via
   edge foldings; finite index is detected by completeness of the core.
-- `fixtures`: the complexes, covers and subgroups the tests exercise.
 """
 
 from .simplicial import (

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     DisconnectedCoverError,
+    DisconnectedGraphError,
     GraphLookupError,
     NonFiniteInputError,
     WindowSaturationError,
@@ -32,15 +33,6 @@ BLOCK_HALF_EDGES = 1 << 14
 CHUNK_LABELS = 1 << 18
 
 
-def _csr(n, tails):
-    """CSR row pointers of half-edges with the given tails, and the order
-    that sorts half-edge arrays into rows, keeping input order per row."""
-    tails = np.asarray(tails, dtype=np.int64)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
-    return indptr, np.argsort(tails, kind="stable")
-
-
 def freeze_vertex(v):
     """A vertex id read from JSON: an array becomes a tuple, and an id that
     is still unhashable (an object, nested arrays) is a ValueError."""
@@ -50,14 +42,6 @@ def freeze_vertex(v):
     except TypeError:
         raise ValueError(f"vertex id {v!r} is not hashable") from None
     return v
-
-
-def _out_edges(indptr, rows):
-    """Half-edge positions leaving each vertex of `rows`, row by row."""
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    first = np.cumsum(counts) - counts
-    return np.arange(int(counts.sum())) + np.repeat(starts - first, counts)
 
 
 def _blocks(ends, total, cap):
@@ -74,22 +58,6 @@ def _blocks(ends, total, cap):
     return zip(bounds[:-1], bounds[1:], offsets[:-1], offsets[1:])
 
 
-def _component_labels(indptr, target):
-    """Connected-component label of each vertex, numbered from 0 in order
-    of each component's smallest vertex index (breadth-first frontiers)."""
-    labels = np.full(len(indptr) - 1, -1, dtype=np.int64)
-    label = 0
-    while (unlabelled := np.flatnonzero(labels < 0)).size:
-        frontier = unlabelled[:1]
-        labels[frontier] = label
-        while frontier.size:
-            heads = target[_out_edges(indptr, frontier)]
-            frontier = np.unique(heads[labels[heads] < 0])
-            labels[frontier] = label
-        label += 1
-    return labels
-
-
 class MMGraph:
     """Connected weighted graph with a nonnegative vertex measure.
 
@@ -99,6 +67,8 @@ class MMGraph:
     half-edge).  ``measure`` is one read-only float array in `vertices`
     order, given to the constructor as a mapping (unit measure if omitted).
     Edge endpoints and measure keys may name a vertex as `vertex` reads.
+    A disconnected graph is a DisconnectedGraphError carrying its
+    components, each the labels a relaxation from its least vertex reaches.
     """
 
     def __init__(self, vertices, edges, measure=None):
@@ -123,7 +93,11 @@ class MMGraph:
                 tails.append(iv)
                 heads.append(iu)
                 lengths.append(length)
-        self._indptr, order = _csr(self.n, tails)
+        # CSR rows of the half-edges, input order kept within a row
+        tails = np.asarray(tails, dtype=np.int64)
+        self._indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails, minlength=self.n), out=self._indptr[1:])
+        order = np.argsort(tails, kind="stable")
         self._target = np.asarray(heads, dtype=np.int64)[order]
         self._length = np.asarray(lengths, dtype=float)[order]
         if not np.isfinite(self._length).all():
@@ -141,8 +115,14 @@ class MMGraph:
             raise ValueError("vertex measures must be nonnegative")
         if self.total_measure <= 0:
             raise ValueError("total measure must be positive")
-        if _component_labels(self._indptr, self._target).max() > 0:
-            raise ValueError("graph must be connected")
+        left, components = np.ones(self.n, dtype=bool), []
+        while left.any():
+            reached = np.flatnonzero(self._relax([int(left.argmax())], None)[0] < np.inf)
+            left[reached] = False
+            components.append([self.vertices[i] for i in reached.tolist()])
+        if len(components) > 1:
+            raise DisconnectedGraphError(f"graph splits into {len(components)} components",
+                                         components=components)
 
     # -- basic queries ------------------------------------------------------
 
@@ -210,7 +190,7 @@ class MMGraph:
         blocks.  With `columns`, only the kept columns of each chunk
         outlive it.
         """
-        sources = list(sources)
+        sources = [self._position(v) for v in sources]
         step = max(1, CHUNK_LABELS // self.n)
         if len(sources) <= step:
             dist = self._relax(sources, cutoff)
@@ -223,10 +203,9 @@ class MMGraph:
         return out
 
     def _relax(self, sources, cutoff):
-        """The (k, n) rows of `distance_rows` for one chunk of sources."""
+        """The (k, n) rows of `distance_rows` for one chunk of source indices."""
         k, n = len(sources), self.n
-        frontier = np.array([i * n + self._position(v) for i, v in enumerate(sources)],
-                            dtype=np.int64)
+        frontier = np.arange(k, dtype=np.int64) * n + np.asarray(sources, dtype=np.int64)
         dist = np.full((k, n), np.inf)
         labels = dist.reshape(-1)
         labels[frontier] = 0.0
@@ -477,19 +456,10 @@ def build_cover(base: MMGraph, voltage: dict) -> CoverMap:
             edges.append(((u, s), (v, p[s]), length))
     measure = dict(zip(vertices, np.repeat(base.measure, k).tolist()))
 
-    # connectivity check before constructing (MMGraph refuses disconnected)
-    index = {w: i for i, w in enumerate(vertices)}
-    tails = [index[a] for a, _, _ in edges]
-    heads = [index[b] for _, b, _ in edges]
-    indptr, order = _csr(len(vertices), tails + heads)
-    labels = _component_labels(indptr, np.asarray(heads + tails, dtype=np.int64)[order])
-    if labels.max() > 0:
-        comp = [[vertices[i] for i in np.flatnonzero(labels == c)]
-                for c in range(labels.max() + 1)]
-        raise DisconnectedCoverError(
-            f"voltage cover splits into {len(comp)} components", components=comp
-        )
-    total = MMGraph(vertices, edges, measure)
+    try:
+        total = MMGraph(vertices, edges, measure)
+    except DisconnectedGraphError as exc:
+        raise DisconnectedCoverError(str(exc), components=exc.components) from None
     projection = {(v, s): v for v, s in vertices}
     deck = _deck_transformations(base, perms, k)
     return CoverMap(total=total, base=base, projection=projection, deck=deck, sheets=k)

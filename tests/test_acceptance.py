@@ -15,7 +15,7 @@ from barylab import graphs, hyperboloid as hyp
 from barylab.barycenter import barycenter
 from barylab.bcg import SpectralInput, bcg_bound, bcg_ratio, bcg_scan, canonical_structures
 from barylab.indices import coarea_check, fold_words, ind_H_degree, pre_count, stallings_index
-from barylab.indices import fixtures as ifx
+from barylab import fixtures as ifx
 from barylab.measures import DiscreteMeasure
 from barylab.mmgraph import volume_entropy
 from barylab.naturalmap import (

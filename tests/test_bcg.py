@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from barylab.bcg import (
+    CHUNK,
     SpectralInput,
     bcg_bound,
     bcg_ratio,
@@ -108,6 +109,9 @@ def test_scan_no_violations_and_positive_A():
     assert report.empirical_A > 0
     # the maximum is approached only near the center spectrum
     assert np.max(np.abs(report.argmax_spectrum - 1 / 3)) < 0.2
+    # a block of one sample (count 1, or one past a chunk) is scanned too
+    for count in (1, 2, CHUNK + 1):
+        assert bcg_scan(3, 1, count, rng=1).count == count
 
 
 def test_scan_d2_and_reports():

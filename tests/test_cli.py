@@ -8,8 +8,9 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from barylab import graphs
+from barylab import fixtures, graphs
 from barylab.cli import main
+from barylab.errors import ConfigurationError
 from barylab.measures import DiscreteMeasure
 from barylab.mmgraph import MMGraph
 from barylab.transport import brute_force_w1
@@ -322,6 +323,28 @@ OFF_SHEET_SITES = ('{"atoms": [{"site": [1.1, 0.3, 0, 0], "w": 1}, '
                  id="coarea-no-samples"),
     pytest.param(["coarea", "IN", "--samples", "0"], '{"fixture": {"type": "jittered_pl"}}',
                  id="coarea-pl-no-samples"),
+    pytest.param(["coarea", "IN", "--samples", "200"], '{"fixture": {"type": "torus_cover", "k": 2.5}}',
+                 id="coarea-torus-k-fraction"),
+    pytest.param(["coarea", "IN", "--samples", "200"], '{"fixture": {"type": "torus_cover", "k": "3"}}',
+                 id="coarea-torus-k-string"),
+    pytest.param(["coarea", "IN", "--samples", "200"], '{"fixture": {"type": "torus_cover", "k": -1}}',
+                 id="coarea-torus-k-negative"),
+    pytest.param(["coarea", "IN", "--samples", "200"], '{"fixture": {"type": "torus_cover", "k": true}}',
+                 id="coarea-torus-k-bool"),
+    pytest.param(["indices", "IN"], '{"fixture": {"type": "torus_cover", "k": 2.5}}',
+                 id="indices-torus-k-fraction"),
+    pytest.param(["coarea", "IN", "--samples", "200"],
+                 '{"fixture": {"type": "jittered_pl", "amplitude": NaN}}', id="coarea-amplitude-nan"),
+    pytest.param(["coarea", "IN", "--samples", "200"],
+                 '{"fixture": {"type": "jittered_pl", "amplitude": "x"}}', id="coarea-amplitude-string"),
+    pytest.param(["coarea", "IN", "--samples", "200"], '{"fixture": {"type": "jittered_pl", "m": -2}}',
+                 id="coarea-jittered-m-negative"),
+    pytest.param(["coarea", "IN", "--samples", "200"], '{"fixture": {"type": "identity_pl", "m": 0}}',
+                 id="coarea-identity-m-zero"),
+    pytest.param(["indices", "IN"], '{"fixture": {"type": "identity_pl", "m": 0}}',
+                 id="indices-identity-m-zero"),
+    pytest.param(["naturalmap", "IN"], small_naturalmap(fixture={"radius": 6}),
+                 id="naturalmap-net-over-the-draw-cap"),
     pytest.param(["entropy", "IN", "--rmin", "2", "--rmax", "5", "--step", "nan"],
                  lambda tmp_path: graphs.regular_tree(3, 8).to_json(), id="entropy-nan-step"),
     pytest.param(["entropy", "IN", "--rmin", "2", "--rmax", "5", "--step", "10"],
@@ -373,10 +396,22 @@ def test_indices_command_simplicial_fixtures(tmp_path, spec, expected):
     assert payload["consistency"] == "OK"
 
 
+def refuse_to_build(monkeypatch):
+    """Make every fixture builder fail the test if it is called."""
+    def refuse(*args, **kwargs):
+        pytest.fail("a fixture was built before its spec was checked")
+    for name in ("torus_cover_map", "sphere_double_wrap", "octahedron_identity",
+                 "identity_pl_map", "jittered_pl_map"):
+        monkeypatch.setattr(fixtures, name, refuse)
+    for name in ("rotation_symmetric_net", "hyperbolic_ball_net"):
+        monkeypatch.setattr(graphs, name, refuse)
+
+
 @pytest.mark.parametrize("spec", [{"type": "identity_pl", "m": 3},
                                   {"type": "jittered_pl", "m": 4},
                                   {"type": "klein_bottle"}, "torus_cover"])
-def test_indices_rejects_pl_and_unknown_fixtures(tmp_path, spec):
+def test_indices_rejects_pl_and_unknown_fixtures(tmp_path, spec, monkeypatch):
+    refuse_to_build(monkeypatch)
     ipath = tmp_path / "fixture.json"
     ipath.write_text(json.dumps({"fixture": spec}))
     code, out, _ = run_cli(["indices", str(ipath)], tmp_path)
@@ -486,12 +521,90 @@ def test_naturalmap_degenerate_mesh_ball_reads_nan(tmp_path):
     ({"truncation_radius": 0.0}, "truncation_radius"),
     ({"tail_tolerance": -1}, "tail_tolerance"),
     ({"mesh_radius": -1}, "mesh_radius"),
+    ({"num_samples": 2.5}, "num_samples"),
+    ({"s_factors": [1.5, True]}, "s_factors"),
+    ({"entropy": {"r_min": 0.5, "r_max": 1.2, "step": 0}}, "step"),
+    ({"fixture": small_fixture(order=17)}, "order"),
+    ({"fixture": small_fixture(dim=7)}, "dim"),
+    ({"fixture": {"type": "ball_net", "radius": True}}, "radius"),
 ])
 def test_naturalmap_domain_error_names_the_field(overrides, field, tmp_path, capsys):
     cpath = tmp_path / "nm.json"
     cpath.write_text(small_naturalmap(**overrides))
     assert main(["--out-dir", str(tmp_path), "naturalmap", str(cpath)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+
+
+@pytest.mark.parametrize("command, spec, field", [
+    ("coarea", {"type": "torus_cover", "k": 2.5}, "k"),
+    ("coarea", {"type": "torus_cover", "k": "3"}, "k"),
+    ("coarea", {"type": "torus_cover", "k": -1}, "k"),
+    ("coarea", {"type": "torus_cover", "k": True}, "k"),
+    ("indices", {"type": "torus_cover", "k": 201}, "k"),
+    ("coarea", {"type": "jittered_pl", "amplitude": float("nan")}, "amplitude"),
+    ("coarea", {"type": "jittered_pl", "amplitude": "x"}, "amplitude"),
+    ("coarea", {"type": "jittered_pl", "m": -2}, "m"),
+    ("coarea", {"type": "identity_pl", "m": 0}, "m"),
+])
+def test_fixture_domain_error_names_the_field(command, spec, field, tmp_path, capsys,
+                                              monkeypatch):
+    refuse_to_build(monkeypatch)
+    ipath = tmp_path / "fixture.json"
+    ipath.write_text(json.dumps({"fixture": spec}))
+    assert main(["--out-dir", str(tmp_path), command, str(ipath), "--samples", "200"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+
+
+@pytest.mark.parametrize("command, spec", [
+    ("indices", {"type": "identity_pl", "m": 0}),
+    ("coarea", {"type": "ball_net"}),
+    ("naturalmap", {"type": "torus_cover"}),
+])
+def test_fixture_of_another_command_is_refused_unbuilt(command, spec, tmp_path, capsys,
+                                                       monkeypatch):
+    refuse_to_build(monkeypatch)
+    ipath = tmp_path / "fixture.json"
+    ipath.write_text(small_naturalmap(fixture=spec) if command == "naturalmap"
+                     else json.dumps({"fixture": spec}))
+    assert main(["--out-dir", str(tmp_path), command, str(ipath)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: fixture {spec['type']} builds a ")
+
+
+def test_net_over_the_draw_cap_is_refused_before_drawing(tmp_path, capsys, monkeypatch):
+    # the draw count is oversample * vol(B(radius)) / spacing^dim / order;
+    # the README net draws about 2e4, radius 6 about 7.1e7
+    def draws(radius, spacing, dim=3, order=4):
+        return 30 * graphs.ball_volume(dim, radius) / spacing ** dim / order
+    assert draws(2.0, 0.3) < 25_000 < graphs.MAX_NET_DRAWS < 7e7 < draws(6.0, 0.3)
+    assert draws(4.0, 0.3) < graphs.MAX_NET_DRAWS < draws(2.0, 0.3, dim=6)
+    monkeypatch.setattr(graphs, "_sample_ball", lambda *args: pytest.fail("drew samples"))
+    cpath = tmp_path / "nm.json"
+    cpath.write_text(json.dumps({"fixture": {"radius": 6}}))
+    assert main(["--out-dir", str(tmp_path), "naturalmap", str(cpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: radius 6, spacing 0.3 and dim 3 make a net of 7.1e+07 draws")
+    with pytest.raises(ConfigurationError, match="over the cap"):
+        graphs.hyperbolic_ball_net(np.random.default_rng(0), n=3, radius=2.0, spacing=1e-120)
+
+
+def test_net_builders_are_looked_up_when_called(tmp_path, monkeypatch):
+    """A wrapper installed on graphs.rotation_symmetric_net or
+    graphs.hyperbolic_ball_net (as a tracer installs one) sees the naturalmap
+    fixture builds: the fixture table must not hold the functions themselves."""
+    calls = []
+    for name in ("rotation_symmetric_net", "hyperbolic_ball_net"):
+        def spy(*args, _real=getattr(graphs, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(graphs, name, spy)
+    ball = {"type": "ball_net", "radius": 1.5, "spacing": 0.4, "dim": 3}
+    for spec in (small_fixture(), ball):
+        cpath = tmp_path / "nm.json"
+        cpath.write_text(small_naturalmap(fixture=spec, entropy={"r_min": 0.6, "r_max": 1.2,
+                                                                 "step": 0.3}))
+        code, _, _ = run_cli(["naturalmap", str(cpath)], tmp_path)
+        assert code == 0
+    assert calls == ["rotation_symmetric_net", "hyperbolic_ball_net"]
 
 
 def test_naturalmap_command_file_based(tmp_path):

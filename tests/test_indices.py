@@ -13,7 +13,7 @@ from barylab.indices import (
     pre_count,
     stallings_index,
 )
-from barylab.indices import fixtures
+from barylab import fixtures
 from barylab.indices.stallings import parse_word
 
 from oracles import subgroup_index_by_coset_tables

@@ -3,7 +3,7 @@ import pytest
 
 from barylab import graphs
 from barylab.errors import DegeneratePointError, RankDeficiencyError
-from barylab.indices import fixtures as ifx
+from barylab import fixtures as ifx
 from barylab.indices import ind_H_degree
 from barylab.io import load_simplicial_map
 from barylab.mmgraph import build_cover

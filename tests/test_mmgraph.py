@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from barylab import graphs, hyperboloid as hyp, mmgraph
 from barylab.errors import (
     DisconnectedCoverError,
+    DisconnectedGraphError,
     GraphLookupError,
     NonFiniteInputError,
     WindowSaturationError,
@@ -558,3 +559,9 @@ def test_component_labels_of_disconnected_cover():
     assert [len(c) for c in comps] == [14, 14]
     assert {s for c in comps for _, s in c} == {0, 1}
     assert all(len({s for _, s in c}) == 1 for c in comps)
+    assert str(exc.value) == "graph splits into 2 components"
+    # a plain graph: components by their least vertex index, each in index order
+    with pytest.raises(DisconnectedGraphError) as exc:
+        MMGraph([5, 1, 2, 3, 4], [(1, 4, 1.0), (5, 3, 2.0)])
+    assert exc.value.components == [[5, 3], [1, 4], [2]]
+    assert not isinstance(exc.value, DisconnectedCoverError)
