@@ -158,12 +158,6 @@ def cmd_naturalmap(args):
     est = volume_entropy(cover, base, ew["r_min"], ew["r_max"], step=ew["step"])
     h_est = est.h if opts["h_override"] is None else opts["h_override"]
     s_values = opts["s_values"] or [f * h_est for f in opts["s_factors"]]
-    floor = h_est + 3 * est.residual
-    bad = [s for s in s_values if s <= floor]
-    if bad:
-        raise BarylabError(
-            f"s values {bad} do not exceed h_est + 3*residual = {floor:.4f}"
-        )
     cfg = NaturalMapConfig(
         s=s_values[0],
         truncation_radius=opts["truncation_radius"],

@@ -1,7 +1,7 @@
 """Exception types raised across the library.
 
-Most carry enough payload (best iterate, suggested radius, counterexample)
-for a caller to recover or report precisely.
+Most carry enough payload (best iterate, tail mass, counterexample) for a
+caller to recover or report precisely.
 """
 
 
@@ -64,12 +64,12 @@ class DisconnectedCoverError(DisconnectedGraphError):
 
 
 class TruncationError(BarylabError, ValueError):
-    """Truncation radius too small for the requested tail tolerance."""
+    """Truncation radius too small for the requested tail tolerance; the
+    mass dropped beyond it is attached."""
 
-    def __init__(self, message, tail_bound=None, suggested_radius=None):
+    def __init__(self, message, tail_bound=None):
         super().__init__(message)
         self.tail_bound = tail_bound
-        self.suggested_radius = suggested_radius
 
 
 class RankDeficiencyError(BarylabError, ValueError):

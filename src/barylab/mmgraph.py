@@ -68,7 +68,7 @@ class MMGraph:
     order, given to the constructor as a mapping (unit measure if omitted).
     Edge endpoints and measure keys may name a vertex as `vertex` reads.
     A disconnected graph is a DisconnectedGraphError carrying its
-    components, each the labels a relaxation from its least vertex reaches.
+    components, each a list of vertex ids.
     """
 
     def __init__(self, vertices, edges, measure=None):
@@ -115,14 +115,21 @@ class MMGraph:
             raise ValueError("vertex measures must be nonnegative")
         if self.total_measure <= 0:
             raise ValueError("total measure must be positive")
-        left, components = np.ones(self.n, dtype=bool), []
-        while left.any():
-            reached = np.flatnonzero(self._relax([int(left.argmax())], None)[0] < np.inf)
-            left[reached] = False
-            components.append([self.vertices[i] for i in reached.tolist()])
-        if len(components) > 1:
-            raise DisconnectedGraphError(f"graph splits into {len(components)} components",
-                                         components=components)
+        if not np.all(self._relax([0], None)[0] < np.inf):
+            # one O(n + m) labelling pass; scipy is imported off the connected path
+            from scipy.sparse import csr_array
+            from scipy.sparse.csgraph import connected_components
+
+            adjacency = csr_array((np.ones(len(self._target)), self._target, self._indptr),
+                                  shape=(self.n, self.n))
+            labels = connected_components(adjacency, directed=False)[1]
+            # components by least vertex index, each in index order
+            least = np.unique(labels, return_index=True)[1][labels]
+            order = np.argsort(least, kind="stable")
+            parts = np.split(order, np.flatnonzero(np.diff(least[order])) + 1)
+            raise DisconnectedGraphError(
+                f"graph splits into {len(parts)} components",
+                components=[[self.vertices[i] for i in part.tolist()] for part in parts])
 
     # -- basic queries ------------------------------------------------------
 

@@ -5,8 +5,8 @@ source space) and the images f(z) in H^n of its vertices under the lifted
 comparison map, the pipeline:
 
 1. builds the exponentially weighted measure mu with density
-   measure(z) * exp(-s * d(x, z)) on the truncated ball, with a tail
-   envelope extrapolated from its annulus masses (it bounds nothing);
+   measure(z) * exp(-s * d(x, z)) on the ball of the truncation radius,
+   and the exact mass its truncation drops (the tail);
 2. pushes mu forward along f and takes the d^2-barycenter, giving the
    natural map value F_s(x);
 3. assembles, at y = F_s(x), the distance-weighted probability measure eta
@@ -70,8 +70,8 @@ class NaturalMapConfig:
 
     `s` must exceed the entropy estimate by three residuals (finite total
     mass of the weighted measure needs s above the growth rate; the margin
-    covers window error).  `tail_tolerance` caps the extrapolated tail
-    envelope (not a certified mass) as a fraction of retained mass.
+    covers window error).  `tail_tolerance` caps the exact mass dropped
+    beyond `truncation_radius` as a fraction of the retained mass.
     """
 
     s: float
@@ -96,66 +96,37 @@ def s_grid(h_estimate: float, levels: int = 7):
 
 
 # ---------------------------------------------------------------------------
-# the weighted measure and its extrapolated tail estimate
+# the weighted measure and the mass its truncation drops
 # ---------------------------------------------------------------------------
-
-def exponential_tail_bound(dists, masses, s, h, eps, radius):
-    """Geometric envelope of the mass beyond `radius`; bounds nothing on a finite graph.
-
-    Fits the constant C of the envelope C * exp((h + eps - s) * r) to the
-    observed integer annulus masses, then sums the geometric series past
-    the truncation radius.
-    """
-    q = h + eps - s
-    if q >= 0:
-        raise ConfigurationError("tail bound needs s > h + eps")
-    weights = masses * np.exp(-s * dists)
-    r_max = float(np.max(dists)) if len(dists) else 0.0
-    annuli = np.arange(1.0, max(2.0, math.ceil(r_max) + 1))
-    C = 0.0
-    for i in annuli:
-        sel = (dists > i - 1.0) & (dists <= i)
-        a_i = float(np.sum(weights[sel]))
-        if a_i > 0:
-            C = max(C, a_i / math.exp(q * i))
-    if C == 0.0:
-        return 0.0, 0.0
-    tail = C * math.exp(q * (math.floor(radius) + 1)) / (1.0 - math.exp(q))
-    return tail, C
-
 
 def mu_x_s(cover: MMGraph, x, cfg: NaturalMapConfig, dists=None):
     """Exponentially weighted measure on the truncated ball about x.
 
-    `dists` is x's row of `cover.distances`, computed when omitted.  Returns
-    (atoms, weights, tail_bound): int64 vertex indices in (distance, index)
-    order and their weights, zero-weight atoms dropped.  The tail bound, an
-    absolute mass, is accepted below tail_tolerance times the retained mass
-    (relative, so one tolerance works across fixture scales); otherwise
-    TruncationError is raised with a suggested radius.
+    `dists` is x's full row of `cover.distances` (an entry cut off to inf
+    adds nothing to the tail), computed when omitted.  Returns
+    (atoms, weights, tail): int64 vertex indices in (distance, index) order
+    and their weights, zero-weight atoms dropped, and the tail, the exact
+    mass sum m(z) exp(-s d(x, z)) over the vertices z with d(x, z) > T that
+    the truncation drops (0.0 when the ball holds the whole graph).  A tail
+    above tail_tolerance times the retained mass (relative, so one
+    tolerance works across fixture scales) raises TruncationError.
     """
     if dists is None:
         dists = cover.distances(x)
     order = np.argsort(dists, kind="stable")
     d = dists[order]
     m = cover.measure[order]
-    eps = min(3.0 * cfg.h_residual + 1e-6, 0.5 * (cfg.s - cfg.h_estimate))
-    tail, C = exponential_tail_bound(d, m, cfg.s, cfg.h_estimate, eps, cfg.truncation_radius)
-    inside = d <= cfg.truncation_radius
-    weights = m[inside] * np.exp(-cfg.s * d[inside])
+    k = int(np.searchsorted(d, cfg.truncation_radius, side="right"))
+    weights = m[:k] * np.exp(-cfg.s * d[:k])
     retained = float(np.sum(weights))
+    tail = float(np.sum(m[k:] * np.exp(-cfg.s * d[k:])))
     if tail > cfg.tail_tolerance * retained:
-        q = cfg.h_estimate + eps - cfg.s
-        suggested = math.log(
-            cfg.tail_tolerance * retained * (1.0 - math.exp(q)) / C
-        ) / q
         raise TruncationError(
-            f"certified tail {tail:.3e} exceeds tolerance "
-            f"{cfg.tail_tolerance:.3e} x retained mass {retained:.3e}",
+            f"tail mass beyond radius {cfg.truncation_radius} is {tail:.3e}, above "
+            f"tolerance {cfg.tail_tolerance:.3e} x retained mass {retained:.3e}",
             tail_bound=tail,
-            suggested_radius=float(suggested),
         )
-    return order[inside][weights > 0.0], weights[weights > 0.0], tail
+    return order[:k][weights > 0.0], weights[weights > 0.0], tail
 
 
 # ---------------------------------------------------------------------------
@@ -491,25 +462,25 @@ def run_natural_map(cover: MMGraph, images, base_cfg: NaturalMapConfig,
                     sample_points, s_values=None, mesh_radius=None) -> NaturalMapRun:
     """Evaluate the pipeline at each sample point for each s.
 
-    The distance rows of each sample point and its one-ring come from one
-    `MMGraph.distance_rows` call (`sample_rows`) and are shared across the
-    s grid.
+    The config of every s is built (and its s checked against the floor)
+    before the first sample.  The distance rows of each sample point and
+    its one-ring come from one `MMGraph.distance_rows` call (`sample_rows`)
+    and are shared across the s grid.
     """
-    s_values = list(s_values) if s_values is not None else [base_cfg.s]
+    cfgs = [replace(base_cfg, s=s) for s in (s_values if s_values is not None else [base_cfg.s])]
     records = []
     sample_measure = 0.0
     for x in sample_points:
         measure = float(cover.measure[cover.index[x]])
         sample_measure += measure
         rows = sample_rows(cover, x)
-        for s in s_values:
-            cfg = replace(base_cfg, s=s)
+        for cfg in cfgs:
             tensors = assemble_tensors(cover, images, x, cfg, rows=rows)
-            jac, cond = jacobian_formula(tensors.H, tensors.K, tensors.L, tensors.A, s)
+            jac, cond = jacobian_formula(tensors.H, tensors.K, tensors.L, tensors.A, cfg.s)
             jm = (math.nan if mesh_radius is None
                   else jacobian_mesh(cover, images, x, mesh_radius, dim=tensors.dim))
             records.append(PointRecord(
-                x=x, s=s, point=tensors.y, tensors=tensors,
+                x=x, s=cfg.s, point=tensors.y, tensors=tensors,
                 jac_formula=jac, jac_mesh=jm,
                 cond=cond, cs_gap=cauchy_schwarz_gap(tensors), measure=measure,
             ))

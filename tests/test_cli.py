@@ -8,7 +8,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from barylab import fixtures, graphs
+from barylab import fixtures, graphs, naturalmap
 from barylab.cli import main
 from barylab.errors import ConfigurationError
 from barylab.measures import DiscreteMeasure
@@ -650,6 +650,39 @@ def test_naturalmap_s_below_entropy_rejected(tmp_path):
     assert code == 2
 
 
+def test_naturalmap_s_grid_checked_before_any_barycenter(tmp_path, capsys, monkeypatch):
+    # 5.0 clears the small config's floor at seed 1 (4.683), 0.1 does not
+    def no_barycenter(*args, **kwargs):
+        raise AssertionError("a barycenter ran before every s was checked")
+
+    monkeypatch.setattr(naturalmap, "barycenter", no_barycenter)
+    cpath = tmp_path / "nm.json"
+    cpath.write_text(small_naturalmap(s_values=[5.0, 0.1]))
+    assert main(["--out-dir", str(tmp_path), "--seed", "1", "naturalmap", str(cpath)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: s = 0.1 must exceed h_estimate + 3*residual = 4.68")
+
+
+def tail_cells(csv_bytes):
+    """The tail_bound column of a naturalmap_run.csv, below its comment line."""
+    return [row["tail_bound"]
+            for row in csv.DictReader(csv_bytes.decode().splitlines()[1:])]
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(small_naturalmap(tail_tolerance=1e-3), id="small-library-tolerance"),
+    pytest.param(json.dumps({"fixture": {"type": "ball_net"}}), id="ball-net-defaults"),
+])
+def test_naturalmap_untruncated_net_has_zero_tail(config, tmp_path):
+    """Both nets lie inside the truncation radius about every sample, so
+    nothing is dropped: the tail is 0.0 and any tail tolerance holds."""
+    cpath = tmp_path / "nm.json"
+    cpath.write_text(config)
+    code, out, files = run_cli(["--seed", "1", "naturalmap", str(cpath)], tmp_path)
+    assert code == 0, out
+    assert set(tail_cells(files["naturalmap_run.csv"])) == {"0.0"}
+
+
 def test_determinism_all_commands(tmp_path, tree_json):
     rng = np.random.default_rng(4)
     pts = np.array([hyp.random_point(rng, 3, 1.0) for _ in range(4)])
@@ -696,16 +729,18 @@ README_NATURALMAP = {
 
 @pytest.mark.parametrize("config, csv_sha, stdout_sha", [
     pytest.param(json.dumps(README_NATURALMAP),
-                 "af379456807e338b4a90c4289b7cdf8917c8dd38ee6eaa2d83c5dd15adc9ae6d",
+                 "08322a50beb3a42e293c961a818f69cd10c83fb1fc8f7d67ea6b7392f80743cf",
                  "d1f2fb4cb404a5cf83d497114f97eff516de140d803d66095debdbd15f5fef21", id="readme"),
     pytest.param(small_naturalmap(),
-                 "ddf79e6bcb3188393e0d7433a934c5df12107f2c8eeb17c3fabc2a79d98bd17c",
+                 "d8d11a80060baf593735e72a39ca9371afb5345064505116e063059d14b50b68",
                  "4fd3b10be96b6a847607d973cc3518b5415d27ec382df3966fc85df597ab285e", id="small"),
 ])
 def test_naturalmap_output_pinned(config, csv_sha, stdout_sha, tmp_path):
     """`naturalmap --seed 1` writes the bytes recorded at commit 5e8e65f:
     the sha256 of naturalmap_run.csv, and of stdout without its "run_csv"
-    line (the one path-dependent field).
+    line (the one path-dependent field).  The CSV digests were re-recorded
+    when `tail_bound` became the exact dropped mass (0.0 here; every other
+    cell unchanged).
 
     A refactor must leave these digests alone.  They may move only with a
     change that states its max |delta| over these outputs in CHANGES.md, or
@@ -716,6 +751,7 @@ def test_naturalmap_output_pinned(config, csv_sha, stdout_sha, tmp_path):
     cpath.write_text(config)
     code, out, files = run_cli(["--seed", "1", "naturalmap", str(cpath)], tmp_path)
     assert code == 0
+    assert set(tail_cells(files["naturalmap_run.csv"])) == {"0.0"}  # nothing truncated
     stdout = "".join(line for line in out.splitlines(keepends=True)
                      if not line.startswith('  "run_csv": '))
     assert hashlib.sha256(files["naturalmap_run.csv"]).hexdigest() == csv_sha
@@ -752,11 +788,12 @@ def test_wasserstein_graph_plan_pinned(tmp_path):
 
 def test_naturalmap_mesh_radius_output_pinned(tmp_path):
     """`naturalmap --seed 1` with a mesh radius writes the naturalmap_run.csv
-    recorded at commit 7363a7c.  It moves under the same rule as
+    recorded at commit 7363a7c, with `tail_bound` re-recorded as the exact
+    dropped mass.  It moves under the same rule as
     test_naturalmap_output_pinned."""
     cpath = tmp_path / "nm.json"
     cpath.write_text(small_naturalmap(mesh_radius=0.6))
     code, _, files = run_cli(["--seed", "1", "naturalmap", str(cpath)], tmp_path)
     assert code == 0
     assert (hashlib.sha256(files["naturalmap_run.csv"]).hexdigest()
-            == "8f069f2a828564bb4d7caeb1309dc5aa7bc544b9106ea801103814279e33beb4")
+            == "7635ba7743b6cffb001be9f2941b8316cca39d1f231793866720931defe76cc5")

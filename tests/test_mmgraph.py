@@ -565,3 +565,22 @@ def test_component_labels_of_disconnected_cover():
         MMGraph([5, 1, 2, 3, 4], [(1, 4, 1.0), (5, 3, 2.0)])
     assert exc.value.components == [[5, 3], [1, 4], [2]]
     assert not isinstance(exc.value, DisconnectedCoverError)
+
+
+def test_edgeless_graph_components_in_one_pass(monkeypatch):
+    # one relaxation finds the graph disconnected; the components come from
+    # one labelling pass, not one relaxation each
+    calls = []
+    relax = MMGraph._relax
+
+    def spy(self, sources, cutoff):
+        calls.append(len(sources))
+        return relax(self, sources, cutoff)
+
+    monkeypatch.setattr(MMGraph, "_relax", spy)
+    n = 20_000
+    with pytest.raises(DisconnectedGraphError) as exc:
+        MMGraph(range(n), [])
+    assert calls == [1]
+    assert str(exc.value) == f"graph splits into {n} components"
+    assert exc.value.components == [[v] for v in range(n)]

@@ -26,7 +26,12 @@ from barylab.naturalmap import (
 )
 from barylab.transport import wasserstein1
 
-from oracles import brute_force_deck, lipschitz_constant, loop_source_gradients
+from oracles import (
+    brute_force_deck,
+    lipschitz_constant,
+    loop_source_gradients,
+    regular_tree_ball_mass,
+)
 
 
 def tree_cfg(s, radius=8.0, tol=1e-2):
@@ -116,14 +121,36 @@ def test_mu_concentrates_for_large_s():
     assert value < 0.01
 
 
-def test_mu_truncation_error_suggests_radius():
+def test_mu_tail_is_the_mass_beyond_the_radius_on_a_tree():
+    # from the root of regular_tree(3, 12), the ball of radius 4 drops the
+    # spheres 5..12: tail = sum_{r=5}^{12} 3 * 2^(r-1) e^(-0.8 r) = 4.98506...
+    s = 0.8
+    sphere = [regular_tree_ball_mass(3, r) - regular_tree_ball_mass(3, r - 1)
+              for r in range(13)]
+    tail = math.fsum(sphere[r] * math.exp(-s * r) for r in range(5, 13))
+    retained = math.fsum(sphere[r] * math.exp(-s * r) for r in range(5))
+    assert abs(tail - 4.98506) < 1e-5 and abs(retained - 5.62627) < 1e-5
     g = graphs.regular_tree(3, 12)
-    cfg = NaturalMapConfig(s=0.80, truncation_radius=4.0, h_estimate=math.log(2),
-                           tail_tolerance=1e-3)
-    with pytest.raises(TruncationError) as exc:
-        mu_x_s(g, 0, cfg)
-    assert exc.value.tail_bound > 1e-3
-    assert exc.value.suggested_radius > 4.0
+    cfg = NaturalMapConfig(s=s, truncation_radius=4.0, h_estimate=math.log(2),
+                           tail_tolerance=1.0)
+    atoms, weights, got = mu_x_s(g, 0, cfg)
+    assert len(atoms) == regular_tree_ball_mass(3, 4)
+    assert abs(got - tail) <= 1e-12 * tail
+    assert abs(float(np.sum(weights)) - retained) <= 1e-12 * retained
+    with pytest.raises(TruncationError, match="tail mass beyond radius 4.0") as exc:
+        mu_x_s(g, 0, dataclasses.replace(cfg, tail_tolerance=1e-3))
+    assert abs(exc.value.tail_bound - tail) <= 1e-12 * tail
+
+
+def test_mu_tail_is_zero_when_the_ball_holds_the_graph():
+    # the root of regular_tree(3, 5) has eccentricity 5; the library's
+    # default tolerance holds because nothing is dropped
+    g = graphs.regular_tree(3, 5)
+    for radius in (5.0, 7.5):
+        cfg = NaturalMapConfig(s=0.8, truncation_radius=radius, h_estimate=math.log(2))
+        atoms, _, tail = mu_x_s(g, 0, cfg)
+        assert tail == 0.0
+        assert len(atoms) == g.n
 
 
 def test_mu_deck_equivariance_exact():
