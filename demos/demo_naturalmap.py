@@ -12,8 +12,8 @@ from barylab import graphs, hyperboloid as hyp
 from barylab.mmgraph import volume_entropy
 from barylab.naturalmap import (
     NaturalMapConfig,
+    deck_equivariance,
     entropy_volume_report,
-    natural_map_point,
     run_natural_map,
     s_grid,
 )
@@ -58,11 +58,8 @@ print("growth rate: the direction distribution rounds out")
 
 print()
 print("deck equivariance of the pipeline:")
-x = samples[0]
-fx, _ = natural_map_point(g, images, x, cfg)
-fgx, _ = natural_map_point(g, images, deck[x], cfg)
-dev = hyp.dist(fgx, hyp.project_to_sheet(rot @ fx))
-print(f"  F_s(deck x) vs rot F_s(x): deviation {float(dev):.2e}")
+gate = deck_equivariance(g, images, deck, rot, run.for_s(s_values[0])[:1], cfg)
+print(f"  F_s(deck x) vs rot F_s(x): deviation {gate.value:.2e}")
 
 print()
 print(f"the geometric approach grid for limit monitoring: "

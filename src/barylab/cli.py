@@ -180,7 +180,7 @@ def cmd_naturalmap(args):
     tables = [gates(r, h0) for r in run.records]
     equivariance = None
     if deck is not None:
-        gate = deck_equivariance(cover, images, deck, rot, samples[:4], cfg)
+        gate = deck_equivariance(cover, images, deck, rot, run.for_s(s_values[0])[:4], cfg)
         equivariance = gate.value
         tables.append([gate])
     violations = sum(not all(g.passed for g in table) for table in tables)

@@ -204,10 +204,13 @@ def read_fields(spec, fields, what):
 # a net builds (graph, images, deck, rot), a map (map, its known invariants).
 # Net builders look graphs.* up when called, so a wrapper on the module
 # attribute sees every call.  Upper bounds keep a build at desk scale: a net
-# point meets 3^dim grid cells; order 16 peaks at 60 MB (64: 325 MB); k 200
-# and m 200 take 6-8 s at 200 samples; amplitudes past 1e150 give a NaN gap.
+# point meets 3^dim grid cells; order 16 peaks at 60 MB (64: 325 MB); the
+# README net's 1880 vertices get 1.0e5 edges in 79 MB at edge_factor 4 (8:
+# 6.8e5 edges, 314 MB), and none below 1, its points lying spacing apart;
+# k 200 and m 200 take 6-8 s at 200 samples; amplitudes past 1e150 give a
+# NaN gap.
 _NET = {"dim": (3, interval(2, 6, True)), "radius": (2.0, POSITIVE),
-        "spacing": (0.3, POSITIVE), "edge_factor": (2.0, POSITIVE)}
+        "spacing": (0.3, POSITIVE), "edge_factor": (2.0, interval(1, 4))}
 FIXTURES = {
     "rotation_net": ("net", {**_NET, "order": (4, interval(2, 16, True))},
                      lambda seed, dim, **shape: graphs.rotation_symmetric_net(

@@ -192,7 +192,4 @@ def stallings_index(generators, rank: int) -> int:
     if rank < 1:
         raise ValueError("rank must be >= 1")
     core = fold_words(generators, rank)
-    words = [parse_word(w, rank) if isinstance(w, str) else list(w) for w in generators]
-    if not any(words):
-        return 0 if rank >= 1 else 1
     return len(core.vertices) if core.is_complete else 0

@@ -139,24 +139,19 @@ def pushforward_with_fibers(weights, images):
     return DiscreteMeasure(images, weights)
 
 
-def _pushforward_barycenter(cover: MMGraph, images, x, cfg: NaturalMapConfig, dists=None):
-    """mu_x_s, its pushforward sigma along `images` and the barycenter of
-    sigma, as natural_map_point's info dict; "atoms" holds the vertex
-    indices of the mu atoms and "weights" their mu weights."""
+def natural_map_point(cover: MMGraph, images, x, cfg: NaturalMapConfig, dists=None):
+    """F_s(x): the barycenter of the normalized pushforward of mu_x_s.
+
+    `dists` is x's full distance row (as `mu_x_s` takes it), computed when
+    omitted.  Returns (coordinates of F_s(x), info): `info` holds mu's
+    atoms (vertex indices) and weights, its pushforward sigma along
+    `images`, the tail bound and the solver record.
+    """
     atoms, weights, tail = mu_x_s(cover, x, cfg, dists=dists)
     sigma = pushforward_with_fibers(weights, images[atoms])
     res = barycenter(sigma.normalize(), tol=SOLVER_TOL)
-    return {"atoms": atoms, "weights": weights, "sigma": sigma, "tail_bound": tail, "solver": res}
-
-
-def natural_map_point(cover: MMGraph, images, x, cfg: NaturalMapConfig):
-    """F_s(x): the barycenter of the normalized pushforward measure.
-
-    Returns (coordinates of F_s(x), info) with mu's atoms and weights, its
-    pushforward sigma, the tail bound and the solver record in `info`.
-    """
-    info = _pushforward_barycenter(cover, images, x, cfg)
-    return info["solver"].coords, info
+    return res.coords, {"atoms": atoms, "weights": weights, "sigma": sigma,
+                        "tail_bound": tail, "solver": res}
 
 
 def local_chart(gram, dim, rank_tol, what):
@@ -247,8 +242,7 @@ def assemble_tensors(cover: MMGraph, images, x, cfg: NaturalMapConfig,
     if rows is None:
         rows = sample_rows(cover, x)
     dists, ring = rows[0], rows[1:]
-    info = _pushforward_barycenter(cover, images, x, cfg, dists)
-    y = info["solver"].coords
+    y, info = natural_map_point(cover, images, x, cfg, dists)
 
     weights = info["sigma"].weights
     rho, logs = hyp.log_many(y, info["sigma"].sites)
@@ -300,19 +294,18 @@ def cauchy_schwarz_gap(tensors: TensorSet):
     return float(np.min(np.linalg.eigvalsh(0.5 * (gap + gap.T))))
 
 
-def jacobian_mesh(cover: MMGraph, images, x, r, dim=None):
+def jacobian_mesh(cover: MMGraph, images, x, r):
     """Mesh-scale Jacobian: image hull volume / source hull volume on B(x, r).
 
     The image cloud is charted in the tangent space at the image of x, the
     source cloud by classical MDS on its pairwise graph distances; both
     volumes come from convex hulls.  O(r)-accurate at best; NaN when either
-    cloud spans fewer than `dim` directions (a rank-deficient ball).
+    cloud spans fewer than N directions (a rank-deficient ball).
     """
     from scipy.spatial import ConvexHull, QhullError
 
     center_img = images[cover.index[x]]
-    if dim is None:
-        dim = len(center_img) - 1
+    dim = len(center_img) - 1
     ball = cover.distances(x, cutoff=r)
     verts = sorted(np.flatnonzero(ball <= r).tolist(),
                    key=lambda i: (ball[i], str(cover.vertices[i])))
@@ -414,13 +407,17 @@ def gates(record: PointRecord, h0: float):
     ]
 
 
-def deck_equivariance(cover: MMGraph, images, deck, rot, xs, cfg: NaturalMapConfig):
-    """The gate max over x in `xs` of d(F(deck x), rot F(x)) < 1e-6."""
+def deck_equivariance(cover: MMGraph, images, deck, rot, records, cfg: NaturalMapConfig):
+    """The gate max over `records` of d(F(deck x), rot F(x)) < 1e-6.
+
+    F(x) is each record's point; F(deck x) is solved at the record's s
+    (`cfg` gives the rest), from rows of one `distance_rows` call.
+    """
+    rows = cover.distance_rows([deck[r.x] for r in records])
     worst = 0.0
-    for x in xs:
-        fx, _ = natural_map_point(cover, images, x, cfg)
-        fgx, _ = natural_map_point(cover, images, deck[x], cfg)
-        worst = max(worst, float(hyp.dist(fgx, hyp.project_to_sheet(rot @ fx))))
+    for r, row in zip(records, rows):
+        fgx, _ = natural_map_point(cover, images, deck[r.x], replace(cfg, s=r.s), row)
+        worst = max(worst, float(hyp.dist(fgx, hyp.project_to_sheet(rot @ r.point))))
     return Gate("deck_equivariance", worst, 1e-6, worst < 1e-6)
 
 
@@ -440,45 +437,42 @@ def worst_gates(tables):
 
 @dataclass
 class NaturalMapRun:
-    """All point records of a run and the measures that scale their quadrature."""
+    """All point records of a run, its s values in order, and the measures
+    that scale their quadrature."""
 
     records: list
+    s_values: list
     total_measure: float
     sample_measure: float
 
     def for_s(self, s):
+        """The records at `s`, in sample order."""
         return [r for r in self.records if r.s == s]
-
-    @property
-    def s_values(self):
-        seen = []
-        for r in self.records:
-            if r.s not in seen:
-                seen.append(r.s)
-        return seen
 
 
 def run_natural_map(cover: MMGraph, images, base_cfg: NaturalMapConfig,
                     sample_points, s_values=None, mesh_radius=None) -> NaturalMapRun:
     """Evaluate the pipeline at each sample point for each s.
 
-    The config of every s is built (and its s checked against the floor)
-    before the first sample.  The distance rows of each sample point and
-    its one-ring come from one `MMGraph.distance_rows` call (`sample_rows`)
-    and are shared across the s grid.
+    Before the first sample, every s is checked against the floor and the
+    s values to be distinct.  Per sample point, its rows and its one-ring's
+    (one `sample_rows` call) and the mesh Jacobian, a function of (x,
+    mesh_radius) alone, are computed once and shared across the s grid.
     """
-    cfgs = [replace(base_cfg, s=s) for s in (s_values if s_values is not None else [base_cfg.s])]
+    s_values = list(s_values) if s_values is not None else [base_cfg.s]
+    cfgs = [replace(base_cfg, s=s) for s in s_values]
+    if len(set(s_values)) < len(s_values):
+        raise ConfigurationError(f"s_values must be distinct, not {s_values}")
     records = []
     sample_measure = 0.0
     for x in sample_points:
         measure = float(cover.measure[cover.index[x]])
         sample_measure += measure
         rows = sample_rows(cover, x)
+        jm = math.nan if mesh_radius is None else jacobian_mesh(cover, images, x, mesh_radius)
         for cfg in cfgs:
             tensors = assemble_tensors(cover, images, x, cfg, rows=rows)
             jac, cond = jacobian_formula(tensors.H, tensors.K, tensors.L, tensors.A, cfg.s)
-            jm = (math.nan if mesh_radius is None
-                  else jacobian_mesh(cover, images, x, mesh_radius, dim=tensors.dim))
             records.append(PointRecord(
                 x=x, s=cfg.s, point=tensors.y, tensors=tensors,
                 jac_formula=jac, jac_mesh=jm,
@@ -486,6 +480,7 @@ def run_natural_map(cover: MMGraph, images, base_cfg: NaturalMapConfig,
             ))
     return NaturalMapRun(
         records=records,
+        s_values=s_values,
         total_measure=cover.total_measure,
         sample_measure=sample_measure,
     )

@@ -238,7 +238,7 @@ def test_acceptance_7_naturalmap(big_net):
     # the tensor gates of every record (h0 = N - 1 = 2) and the deck
     # equivariance of the full pipeline, each at its one threshold
     tables = [gates(r, 2) for r in run.records]
-    tables.append([deck_equivariance(g, emb, deck, rot, samples[:4], cfg)])
+    tables.append([deck_equivariance(g, emb, deck, rot, run.for_s(s_values[0])[:4], cfg)])
     worst = worst_gates(tables)
     # H -> I/N monitor (diagnostic, not asserted): deviation along the s grid
     monitor = {s: max(r.h_deviation for r in run.for_s(s)) for s in s_values}

@@ -527,8 +527,11 @@ def test_naturalmap_degenerate_mesh_ball_reads_nan(tmp_path):
     ({"fixture": small_fixture(order=17)}, "order"),
     ({"fixture": small_fixture(dim=7)}, "dim"),
     ({"fixture": {"type": "ball_net", "radius": True}}, "radius"),
+    ({"fixture": small_fixture(edge_factor=4.5)}, "edge_factor"),
 ])
-def test_naturalmap_domain_error_names_the_field(overrides, field, tmp_path, capsys):
+def test_naturalmap_domain_error_names_the_field(overrides, field, tmp_path, capsys,
+                                                 monkeypatch):
+    refuse_to_build(monkeypatch)
     cpath = tmp_path / "nm.json"
     cpath.write_text(small_naturalmap(**overrides))
     assert main(["--out-dir", str(tmp_path), "naturalmap", str(cpath)]) == 2
@@ -661,6 +664,47 @@ def test_naturalmap_s_grid_checked_before_any_barycenter(tmp_path, capsys, monke
     assert main(["--out-dir", str(tmp_path), "--seed", "1", "naturalmap", str(cpath)]) == 2
     assert capsys.readouterr().err.startswith(
         "error: s = 0.1 must exceed h_estimate + 3*residual = 4.68")
+
+
+@pytest.mark.parametrize("overrides", [{"s_values": [5.0, 5.0]}, {"s_factors": [1.5, 1.5]}])
+def test_naturalmap_duplicate_s_refused_before_any_barycenter(overrides, tmp_path, capsys,
+                                                              monkeypatch):
+    # a repeated s would count its records twice in the quadrature of per_s
+    def no_barycenter(*args, **kwargs):
+        raise AssertionError("a barycenter ran before the s values were checked")
+
+    monkeypatch.setattr(naturalmap, "barycenter", no_barycenter)
+    cpath = tmp_path / "nm.json"
+    cpath.write_text(small_naturalmap(**overrides))
+    assert main(["--out-dir", str(tmp_path), "--seed", "1", "naturalmap", str(cpath)]) == 2
+    assert capsys.readouterr().err.startswith("error: s_values must be distinct, not [")
+
+
+def test_naturalmap_solves_each_f_s_once(tmp_path, monkeypatch):
+    """F_s is solved once per sample and s, and once more per deck image
+    of the first four samples; the deck gate reads F(x) from the records."""
+    solves, relaxations = [], []
+
+    def count(calls, real):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(naturalmap, "barycenter", count(solves, naturalmap.barycenter))
+    monkeypatch.setattr(MMGraph, "_relax", count(relaxations, MMGraph._relax))
+    cpath = tmp_path / "nm.json"
+    cpath.write_text(small_naturalmap())
+    code, out, _ = run_cli(["--seed", "1", "naturalmap", str(cpath)], tmp_path)
+    assert code == 0
+    payload = json.loads(out)
+    samples, s_count = len(payload["samples"]), len(payload["s_values"])
+    assert payload["equivariance"] is not None
+    assert len(solves) == samples * s_count + min(4, samples)
+    # one row each for the net's connectivity check, the entropy ball and
+    # the sample order; one call per sample for it and its one-ring; one
+    # call for the deck images of the gate
+    assert len(relaxations) == 3 + samples + 1
 
 
 def tail_cells(csv_bytes):

@@ -308,11 +308,16 @@ def test_gate_thresholds_are_the_acceptance_values():
     assert [gate.value for gate in table] == [
         abs(rec.trace_H - 1.0), rec.min_eig_K_minus_ImH, rec.det_B, rec.jac_formula]
     assert all(gate.passed and gate.margin > 0 for gate in table)
-    equiv = deck_equivariance(g, emb, deck, rot, [x], cfg)
+    equiv = deck_equivariance(g, emb, deck, rot, [rec], cfg)
     assert (equiv.name, equiv.threshold, equiv.passed) == ("deck_equivariance", 1e-6, True)
     assert equiv.value < 1e-6
     # a rotation that is not the deck action fails the gate
-    assert not deck_equivariance(g, emb, deck, np.eye(4), [x], cfg).passed
+    assert not deck_equivariance(g, emb, deck, np.eye(4), [rec], cfg).passed
+    # F(x) is read from the record: a point moved 1e-3 off rot^-1 F(deck x) fails
+    nudge = 1e-3 * hyp.tangent_frame(rec.point)[0]
+    moved = dataclasses.replace(rec, point=hyp.exp(rec.point, nudge))
+    off = deck_equivariance(g, emb, deck, rot, [moved], cfg)
+    assert not off.passed and abs(off.value - 1e-3) < 1e-6
     # just past a threshold fails, with a negative margin, and the summary
     # keeps the least-margin entry of each gate
     over = dataclasses.replace(rec, jac_formula=table[3].threshold * (1 + 1e-12))
