@@ -128,7 +128,7 @@ def cmd_wasserstein(args):
     out = _write_csv(args.out_dir, "plan.csv", config, ["source", "target", "mass"],
                      zip(*plan.flows))
     _print_json({**_stamp(config), "w1": value, "plan": out,
-                 "flows": len(plan.flows)})
+                 "flows": len(plan.flows), "pivots": plan.pivots, "bland": plan.bland})
     return 0
 
 

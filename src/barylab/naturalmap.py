@@ -294,19 +294,21 @@ def cauchy_schwarz_gap(tensors: TensorSet):
     return float(np.min(np.linalg.eigvalsh(0.5 * (gap + gap.T))))
 
 
-def jacobian_mesh(cover: MMGraph, images, x, r):
+def jacobian_mesh(cover: MMGraph, images, x, r, dists=None):
     """Mesh-scale Jacobian: image hull volume / source hull volume on B(x, r).
 
-    The image cloud is charted in the tangent space at the image of x, the
-    source cloud by classical MDS on its pairwise graph distances; both
-    volumes come from convex hulls.  O(r)-accurate at best; NaN when either
-    cloud spans fewer than N directions (a rank-deficient ball).
+    `dists` is x's row of `cover.distances` (entries beyond r may be cut
+    off to inf), relaxed up to r when omitted.  The image cloud is charted
+    in the tangent space at the image of x, the source cloud by classical
+    MDS on its pairwise graph distances; both volumes come from convex
+    hulls.  O(r)-accurate at best; NaN when either cloud spans fewer than N
+    directions (a rank-deficient ball).
     """
     from scipy.spatial import ConvexHull, QhullError
 
     center_img = images[cover.index[x]]
     dim = len(center_img) - 1
-    ball = cover.distances(x, cutoff=r)
+    ball = cover.distances(x, cutoff=r) if dists is None else dists
     verts = sorted(np.flatnonzero(ball <= r).tolist(),
                    key=lambda i: (ball[i], str(cover.vertices[i])))
     if len(verts) < dim + 1:
@@ -457,7 +459,8 @@ def run_natural_map(cover: MMGraph, images, base_cfg: NaturalMapConfig,
     Before the first sample, every s is checked against the floor and the
     s values to be distinct.  Per sample point, its rows and its one-ring's
     (one `sample_rows` call) and the mesh Jacobian, a function of (x,
-    mesh_radius) alone, are computed once and shared across the s grid.
+    mesh_radius) alone that reads x's row from them, are computed once and
+    shared across the s grid.
     """
     s_values = list(s_values) if s_values is not None else [base_cfg.s]
     cfgs = [replace(base_cfg, s=s) for s in s_values]
@@ -469,7 +472,8 @@ def run_natural_map(cover: MMGraph, images, base_cfg: NaturalMapConfig,
         measure = float(cover.measure[cover.index[x]])
         sample_measure += measure
         rows = sample_rows(cover, x)
-        jm = math.nan if mesh_radius is None else jacobian_mesh(cover, images, x, mesh_radius)
+        jm = (math.nan if mesh_radius is None
+              else jacobian_mesh(cover, images, x, mesh_radius, dists=rows[0]))
         for cfg in cfgs:
             tensors = assemble_tensors(cover, images, x, cfg, rows=rows)
             jac, cond = jacobian_formula(tensors.H, tensors.K, tensors.L, tensors.A, cfg.s)

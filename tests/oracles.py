@@ -228,7 +228,7 @@ def lp_w1(a, b, cost):
 def rebuild_simplex(a, b, cost, bland_after=None):
     """Transportation simplex that rebuilds its basis tree at every pivot.
 
-    The same northwest-corner start, Dantzig entering rule with PIVOT_TOL,
+    The same least-cost start, Dantzig entering rule with PIVOT_TOL,
     switch to Bland's rule after `bland_after` pivots (None: 4(nm+n+m)+200)
     and lowest-index leaving rule as `barylab.transport`, but duals and
     cycles come from a dict-of-lists tree built from the sorted basis each
@@ -236,7 +236,7 @@ def rebuild_simplex(a, b, cost, bland_after=None):
     whether Bland's rule engaged).
     """
     n, m = len(a), len(b)
-    flow, basis = _northwest_corner(a, b)
+    flow, basis = _least_cost_start(a, b, cost)
     pivot_limit = 20 * (n * m + n + m) + 1000
     if bland_after is None:
         bland_after = 4 * (n * m + n + m) + 200
@@ -285,27 +285,42 @@ def rebuild_simplex(a, b, cost, bland_after=None):
     return flows, pivots, pivots >= bland_after
 
 
-def _northwest_corner(a, b):
-    """Initial basic feasible solution; returns flows dict and basis cell list."""
+def _least_cost_start(a, b, cost):
+    """Initial basic feasible solution by the least-cost rule; returns the
+    flows dict and basis cell list.
+
+    Open cells are taken cheapest first, ties by (row, column); each takes
+    what its row and column have left and closes the line that ran out (the
+    row on a tie), except that the last open row or column stays open while
+    the other side has lines left.
+    """
     n, m = len(a), len(b)
-    a_rem = a.copy()
-    b_rem = b.copy()
+    left = {("row", i): float(a[i]) for i in range(n)}
+    left.update({("col", j): float(b[j]) for j in range(m)})
+    cells = sorted(((float(cost[i][j]), i, j) for i in range(n) for j in range(m)))
     basis = []
     flow = {}
-    i = j = 0
-    while True:
-        q = min(a_rem[i], b_rem[j])
+    for _, i, j in cells:
+        row, col = ("row", i), ("col", j)
+        if row not in left or col not in left:
+            continue
+        q = min(left[row], left[col])
         basis.append((i, j))
         flow[(i, j)] = q
-        a_rem[i] -= q
-        b_rem[j] -= q
-        if i == n - 1 and j == m - 1:
+        left[row] -= q
+        left[col] -= q
+        rows = sum(1 for line in left if line[0] == "row")
+        cols = len(left) - rows
+        if rows == 1 and cols == 1:
             break
-        # on a tie close only the row, leaving a degenerate basic cell next
-        if a_rem[i] <= b_rem[j] and i < n - 1:
-            i += 1
+        if cols == 1:
+            del left[row]
+        elif rows == 1:
+            del left[col]
+        elif left[row] <= left[col]:
+            del left[row]
         else:
-            j += 1
+            del left[col]
     return flow, basis
 
 

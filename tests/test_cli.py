@@ -682,7 +682,9 @@ def test_naturalmap_duplicate_s_refused_before_any_barycenter(overrides, tmp_pat
 
 def test_naturalmap_solves_each_f_s_once(tmp_path, monkeypatch):
     """F_s is solved once per sample and s, and once more per deck image
-    of the first four samples; the deck gate reads F(x) from the records."""
+    of the first four samples; the deck gate reads F(x) from the records.
+    The mesh Jacobian reads x's row from the sample's rows and relaxes
+    only its ball's pairs."""
     solves, relaxations = [], []
 
     def count(calls, real):
@@ -694,17 +696,21 @@ def test_naturalmap_solves_each_f_s_once(tmp_path, monkeypatch):
     monkeypatch.setattr(naturalmap, "barycenter", count(solves, naturalmap.barycenter))
     monkeypatch.setattr(MMGraph, "_relax", count(relaxations, MMGraph._relax))
     cpath = tmp_path / "nm.json"
-    cpath.write_text(small_naturalmap())
-    code, out, _ = run_cli(["--seed", "1", "naturalmap", str(cpath)], tmp_path)
-    assert code == 0
-    payload = json.loads(out)
-    samples, s_count = len(payload["samples"]), len(payload["s_values"])
-    assert payload["equivariance"] is not None
-    assert len(solves) == samples * s_count + min(4, samples)
-    # one row each for the net's connectivity check, the entropy ball and
-    # the sample order; one call per sample for it and its one-ring; one
-    # call for the deck images of the gate
-    assert len(relaxations) == 3 + samples + 1
+    for overrides, per_sample in (({}, 1), ({"mesh_radius": 0.6}, 2)):
+        solves.clear()
+        relaxations.clear()
+        cpath.write_text(small_naturalmap(**overrides))
+        code, out, _ = run_cli(["--seed", "1", "naturalmap", str(cpath)], tmp_path)
+        assert code == 0
+        payload = json.loads(out)
+        samples, s_count = len(payload["samples"]), len(payload["s_values"])
+        assert payload["equivariance"] is not None
+        assert len(solves) == samples * s_count + min(4, samples)
+        # one row each for the net's connectivity check, the entropy ball
+        # and the sample order; one call per sample for it and its one-ring,
+        # and one for its mesh ball's pairs; one call for the deck images
+        # of the gate
+        assert len(relaxations) == 3 + per_sample * samples + 1
 
 
 def tail_cells(csv_bytes):
@@ -819,15 +825,40 @@ def wasserstein_graph_files(tmp_path):
 def test_wasserstein_graph_plan_pinned(tmp_path):
     """`wasserstein --graph` writes the plan recorded at commit 7363a7c: the
     sha256 of plan.csv without its version/digest line (the digest covers
-    the input paths).  It moves under the same rule as
+    the input paths).  It was re-recorded when the simplex started from the
+    least-cost basis (same w1; masses moved in the last bit, max |delta|
+    2.8e-17).  It moves under the same rule as
     test_naturalmap_output_pinned."""
     mu, nu, graph = wasserstein_graph_files(tmp_path)
     code, out, files = run_cli(["wasserstein", mu, nu, "--graph", graph], tmp_path)
     assert code == 0
     body = files["plan.csv"].split(b"\n", 1)[1]
     assert (hashlib.sha256(body).hexdigest()
-            == "930ee6bebe9cb25d962f33a42b8e94a4a9059db410583cc19b0ef557a4f5d612")
+            == "a5aa5754ea2542a88aebd2cc20caa56df8067541d66159b77afb2061289e892e")
     assert repr(json.loads(out)["w1"]) == "1.58124213685982"
+
+
+def test_wasserstein_summary_reports_pivots_and_bland(tmp_path, monkeypatch):
+    """The summary carries the pivot count and Bland flag of the plan the
+    command solved, and they repeat run to run."""
+    import barylab.cli
+
+    plans = []
+    solve = barylab.cli.wasserstein1
+
+    def capture(mu, nu, cost):
+        value, plan = solve(mu, nu, cost=cost)
+        plans.append(plan)
+        return value, plan
+
+    monkeypatch.setattr(barylab.cli, "wasserstein1", capture)
+    mu, nu, graph = wasserstein_graph_files(tmp_path)
+    runs = [run_cli(["wasserstein", mu, nu, "--graph", graph], tmp_path) for _ in range(2)]
+    assert [code for code, _, _ in runs] == [0, 0]
+    assert runs[0][1] == runs[1][1]
+    payload = json.loads(runs[0][1])
+    assert (payload["pivots"], payload["bland"]) == (2, False)
+    assert (payload["pivots"], payload["bland"]) == (plans[0].pivots, plans[0].bland)
 
 
 def test_naturalmap_mesh_radius_output_pinned(tmp_path):

@@ -6,7 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from barylab import hyperboloid as hyp
 from barylab import transport
-from barylab.errors import EmptyMeasureError, NonFiniteInputError, UnbalancedMeasuresError
+from barylab.errors import (
+    ConfigurationError,
+    EmptyMeasureError,
+    NonFiniteInputError,
+    UnbalancedMeasuresError,
+)
 from barylab.measures import DiscreteMeasure
 from barylab.transport import brute_force_w1, wasserstein1
 
@@ -65,6 +70,36 @@ def test_w1_errors():
     heavier = DiscreteMeasure(mu.sites, mu.weights * 2.0)
     with pytest.raises(UnbalancedMeasuresError):
         wasserstein1(mu, heavier, metric=hyp_metric)
+
+
+def refuse_to_pivot(*args):
+    raise AssertionError("the simplex ran on a cost it should have refused")
+
+
+# a NaN or infinite cost is refused before any pivot (unchecked, a NaN
+# cell gave W1 0.0 under Bland's rule), naming the count of bad cells and
+# the first, whether the cost is passed in or built from the metric
+@pytest.mark.parametrize("given", ["cost", "metric"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_w1_non_finite_cost_refused(bad, given, monkeypatch):
+    monkeypatch.setattr(transport, "_transportation_simplex", refuse_to_pivot)
+    mu = DiscreteMeasure(["a", "b"], [0.5, 0.5])
+    nu = DiscreteMeasure(["c", "d"], [0.5, 0.5])
+    cost = np.array([[0.0, bad], [1.0, bad]])
+    kwargs = ({"cost": cost} if given == "cost"
+              else {"metric": lambda s, t: cost["ab".index(s), "cd".index(t)]})
+    with pytest.raises(NonFiniteInputError, match=r"2 non-finite entries, first at \(0, 1\)"):
+        wasserstein1(mu, nu, **kwargs)
+
+
+# a cost of the wrong shape is refused before the start indexes it
+@pytest.mark.parametrize("shape", [(2, 1), (1, 2), (3, 2), (4,), (2, 2, 1)])
+def test_w1_cost_of_wrong_shape_refused(shape, monkeypatch):
+    monkeypatch.setattr(transport, "_transportation_simplex", refuse_to_pivot)
+    mu = DiscreteMeasure(["a", "b"], [0.5, 0.5])
+    nu = DiscreteMeasure(["c", "d"], [0.5, 0.5])
+    with pytest.raises(ConfigurationError, match=r"not \(2, 2\)"):
+        wasserstein1(mu, nu, cost=np.ones(shape))
 
 
 def test_w1_agrees_with_unit_brute_force():
@@ -285,21 +320,70 @@ def assert_same_plan(a, b, cost):
     assert value == plan.cost(cost)
     assert all(type(i) is int and type(j) is int and type(q) is np.float64
                for i, j, q in plan.flows)
+    return value, plan
 
 
-# masses equal only within MASS_RTOL: the northwest corner reaches the last
-# column with rows left and must go down them, not past the column
+# the start on a single row or column, and on masses equal only within
+# MASS_RTOL: the last open row (column) must stay open while columns (rows)
+# remain, taking zero flows, so the start is a spanning tree
 @pytest.mark.parametrize("a, b, cost, expected", [
     ([1.0, 1e-10, 1e-10], [1.0], np.ones((3, 1)), 1.0),
     ([0.5, 0.5 + 1e-10, 1e-10], [0.5, 0.5], np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
      0.0),
+    ([1.0], [0.25, 0.5, 0.25], np.array([[3.0, 1.0, 2.0]]), 1.75),
+    ([0.25, 0.75], [1.0], np.array([[2.0], [1.0]]), 1.25),
+    ([0.5, 0.5], [0.5, 0.5, 2e-10], np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 5.0]]), 0.0),
+    ([0.5, 0.5, 2e-10], [0.5, 0.5], np.array([[0.0, 1.0], [1.0, 0.0], [5.0, 5.0]]), 0.0),
 ])
-def test_northwest_corner_with_rows_left_at_the_last_column(a, b, cost, expected):
-    value, plan = wasserstein1(DiscreteMeasure(list(range(len(a))), a),
-                               DiscreteMeasure(list(range(len(b))), b), cost=cost)
+def test_least_cost_start_on_one_line_and_masses_equal_within_mass_rtol(a, b, cost, expected):
+    mu = DiscreteMeasure(list(range(len(a))), a)
+    nu = DiscreteMeasure(list(range(len(b))), b)
+    value, plan = wasserstein1(mu, nu, cost=cost)
     assert value == pytest.approx(expected, abs=1e-9)
     assert value == plan.cost(cost)
     assert all(q >= 0 for _, _, q in plan.flows)
+    plan.validate(mu, nu)
+    assert_start_is_spanning_tree(np.array(a, dtype=float), np.array(b, dtype=float), cost)
+
+
+def assert_start_is_spanning_tree(a, b, cost):
+    """The least-cost start has n + m - 1 cells joining all n + m lines
+    without a cycle, non-negative flows, and both marginals to MASS_RTOL."""
+    n, m = len(a), len(b)
+    cells = transport._least_cost_start(a, b, cost.reshape(-1))
+    assert len(cells) == n + m - 1
+    root = list(range(n + m))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    rows, cols = np.zeros(n), np.zeros(m)
+    for k, q in cells:
+        i, j = divmod(k, m)
+        ri, rj = find(i), find(n + j)
+        assert ri != rj  # no cycle, so n + m - 1 cells span every line
+        root[ri] = rj
+        assert q >= 0
+        rows[i] += q
+        cols[j] += q
+    scale = max(a.sum(), b.sum())
+    assert np.max(np.abs(rows - a)) <= transport.MASS_RTOL * scale
+    assert np.max(np.abs(cols - b)) <= transport.MASS_RTOL * scale
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 30),
+       st.sampled_from(["uniform", "unit", "random"]), st.sampled_from(["hyperbolic", "integer"]),
+       st.floats(-5e-10, 5e-10))
+def test_least_cost_start_is_a_feasible_spanning_tree(seed, n, m, weights, costs, skew):
+    # `skew` moves one target mass by up to half MASS_RTOL of the total mass,
+    # which the start cannot match better than
+    a, b, cost = simplex_instance(np.random.default_rng(seed), n, m, weights, costs)
+    b = b.copy()
+    b[-1] = max(b[-1] + skew * a.sum(), 0.0)
+    assert_start_is_spanning_tree(a, b, cost)
 
 
 # the tree-label simplex must return the plan of the simplex that rebuilds
@@ -312,10 +396,20 @@ def test_simplex_plan_equals_rebuild_oracle(seed, n, m, weights, costs):
     assert_same_plan(*simplex_instance(rng, n, m, weights, costs))
 
 
-@pytest.mark.parametrize("n, m, weights", [(100, 100, "random"), (150, 90, "uniform")])
-def test_simplex_plan_equals_rebuild_oracle_at_benchmark_sizes(n, m, weights):
+# the pinned pivot counts are a timing-free guard on the start: the
+# least-cost basis takes 185 and 223 pivots here, the northwest corner 691
+# and 893
+@pytest.mark.parametrize("n, m, weights, pivots", [
+    pytest.param(100, 100, "random", 185, id="100-100-random"),
+    pytest.param(150, 90, "uniform", 223, id="150-90-uniform"),
+])
+def test_simplex_plan_equals_rebuild_oracle_at_benchmark_sizes(n, m, weights, pivots):
     rng = np.random.default_rng(n * m)
-    assert_same_plan(*simplex_instance(rng, n, m, weights, "hyperbolic"))
+    a, b, cost = simplex_instance(rng, n, m, weights, "hyperbolic")
+    value, plan = assert_same_plan(a, b, cost)
+    assert (plan.pivots, plan.bland) == (pivots, False)
+    oracle = lp_w1(a, b, cost)
+    assert abs(value - oracle) <= 1e-9 * oracle
 
 
 @pytest.mark.parametrize("seed", range(12))
