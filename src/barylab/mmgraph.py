@@ -198,7 +198,7 @@ class MMGraph:
         outlive it.
         """
         sources = [self._position(v) for v in sources]
-        step = max(1, CHUNK_LABELS // self.n)
+        step = self.chunk_rows
         if len(sources) <= step:
             dist = self._relax(sources, cutoff)
             # np.take keeps C order, where dist[:, columns] may not
@@ -208,6 +208,12 @@ class MMGraph:
             dist = self._relax(sources[lo:lo + step], cutoff)
             out[lo:lo + step] = dist if columns is None else np.take(dist, columns, axis=1)
         return out
+
+    @property
+    def chunk_rows(self):
+        """The rows one relaxation of `distance_rows` takes at most:
+        CHUNK_LABELS // n, at least one."""
+        return max(1, CHUNK_LABELS // self.n)
 
     def _relax(self, sources, cutoff):
         """The (k, n) rows of `distance_rows` for one chunk of source indices."""

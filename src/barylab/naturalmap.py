@@ -176,10 +176,40 @@ def _one_ring(cover: MMGraph, x):
     return sorted(dict.fromkeys(u for u, _ in cover.neighbors(x) if u != x), key=str)
 
 
+def rows_by_sample(cover: MMGraph, samples):
+    """Per sample x, in order, the distance rows of x and of its one-ring
+    (in `_one_ring` order) as one (1 + k, n) array: row 0 is x's.
+
+    Consecutive samples are grouped while the distinct vertices among
+    them and their one-rings fit in one relaxation (`cover.chunk_rows`
+    rows; a sample whose own rows do not fit is a group of its own), and
+    each group's distinct rows come from one `distance_rows` call, which
+    returns the same floats whatever rows share it.  So a row is relaxed
+    once per group, and one group's rows are held at a time.
+    """
+    group, members = {}, []
+    for x in samples:
+        verts = [x, *_one_ring(cover, x)]
+        fresh = [v for v in verts if v not in group]
+        if members and len(group) + len(fresh) > cover.chunk_rows:
+            yield from _group_rows(cover, group, members)
+            group, members, fresh = {}, [], verts
+        for v in fresh:
+            group[v] = len(group)
+        members.append(verts)
+    if members:
+        yield from _group_rows(cover, group, members)
+
+
+def _group_rows(cover: MMGraph, group, members):
+    rows = cover.distance_rows(list(group))
+    for verts in members:
+        yield rows[[group[v] for v in verts]]
+
+
 def sample_rows(cover: MMGraph, x):
-    """The distance rows of x and of its one-ring (in `_one_ring` order),
-    as one (1 + k, n) array from one relaxation: row 0 is x's."""
-    return cover.distance_rows([x, *_one_ring(cover, x)])
+    """The rows of x and of its one-ring: `rows_by_sample` for x alone."""
+    return next(rows_by_sample(cover, [x]))
 
 
 def source_gradients(cover: MMGraph, x, dists, ring, atoms, weights, labels, dim):
@@ -457,21 +487,22 @@ def run_natural_map(cover: MMGraph, images, base_cfg: NaturalMapConfig,
     """Evaluate the pipeline at each sample point for each s.
 
     Before the first sample, every s is checked against the floor and the
-    s values to be distinct.  Per sample point, its rows and its one-ring's
-    (one `sample_rows` call) and the mesh Jacobian, a function of (x,
-    mesh_radius) alone that reads x's row from them, are computed once and
-    shared across the s grid.
+    s values to be distinct.  The rows of the samples and their one-rings
+    come from `rows_by_sample`, one relaxation for as many samples as fit
+    in one.  Per sample point, its rows and the mesh Jacobian, a function
+    of (x, mesh_radius) alone that reads x's row from them, are shared
+    across the s grid.
     """
     s_values = list(s_values) if s_values is not None else [base_cfg.s]
     cfgs = [replace(base_cfg, s=s) for s in s_values]
     if len(set(s_values)) < len(s_values):
         raise ConfigurationError(f"s_values must be distinct, not {s_values}")
+    sample_points = list(sample_points)
     records = []
     sample_measure = 0.0
-    for x in sample_points:
+    for x, rows in zip(sample_points, rows_by_sample(cover, sample_points)):
         measure = float(cover.measure[cover.index[x]])
         sample_measure += measure
-        rows = sample_rows(cover, x)
         jm = (math.nan if mesh_radius is None
               else jacobian_mesh(cover, images, x, mesh_radius, dists=rows[0]))
         for cfg in cfgs:

@@ -17,6 +17,12 @@ as it stood before the solver reused its trial logs (`dist_many` at each
 trial, `log_many` at each accepted iterate, F recomputed at exit), kept to
 check that the one-evaluation solver follows the same iterates bit for bit.
 `lipschitz_constant` is the all-pairs Lipschitz ratio that the tests read.
+
+`minkowski_dot_reference` is the Minkowski product as numpy's last-axis
+reduction sums it, and `sample_ball_reference` the ball sampler's draw
+loop as it calls the generator's `normal` and `uniform` one draw at a
+time; both are kept to check that the library's kernel and sampler return
+the same floats.
 """
 
 import heapq
@@ -506,6 +512,34 @@ def scalar_rotation_net(rng, order=4, n=3, radius=2.0, spacing=0.35,
                 for shift in shifts:
                     edges.append(((o1, shift), (o2, (s + shift) % order), float(d[s])))
     return vertices, edges, images
+
+
+def minkowski_dot_reference(u, v):
+    """-u0*v0 + sum_i ui*vi with the spatial sum taken by numpy's reduction."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return -u[..., 0] * v[..., 0] + (u[..., 1:] * v[..., 1:]).sum(axis=-1)
+
+
+def sample_ball_reference(rng, n, radius, count):
+    """`graphs._sample_ball` with `rng.normal(size=n)` and `rng.uniform()`
+    called per draw, and the sheet projection written out with
+    `minkowski_dot_reference`."""
+    vel = np.zeros((count, n + 1))
+    level = np.empty(count)
+    grid = np.linspace(0, radius, 4096)
+    cdf = np.cumsum(np.sinh(grid) ** (n - 1))
+    cdf /= cdf[-1]
+    for i in range(count):
+        u = rng.normal(size=n)
+        vel[i, 1:] = u / math.sqrt(u.dot(u))
+        level[i] = rng.uniform()
+    vel[:, 1:] *= np.interp(level, cdf, grid)[:, None]
+    theta = np.sqrt(np.maximum(minkowski_dot_reference(vel, vel), 0.0)).tolist()
+    vel *= np.array([math.sinh(t) / t if t >= 1e-300 else 0.0 for t in theta])[:, None]
+    vel[:, 0] += np.array([math.cosh(t) for t in theta])
+    vel /= np.sqrt(-minkowski_dot_reference(vel, vel))[:, None]
+    return vel * np.where(vel[:, 0] > 0, 1.0, -1.0)[:, None]
 
 
 def brute_force_deck(base, voltage):

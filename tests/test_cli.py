@@ -8,7 +8,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from barylab import fixtures, graphs, naturalmap
+from barylab import fixtures, graphs, mmgraph, naturalmap
 from barylab.cli import main
 from barylab.errors import ConfigurationError
 from barylab.measures import DiscreteMeasure
@@ -683,20 +683,21 @@ def test_naturalmap_duplicate_s_refused_before_any_barycenter(overrides, tmp_pat
 def test_naturalmap_solves_each_f_s_once(tmp_path, monkeypatch):
     """F_s is solved once per sample and s, and once more per deck image
     of the first four samples; the deck gate reads F(x) from the records.
-    The mesh Jacobian reads x's row from the sample's rows and relaxes
-    only its ball's pairs."""
+    The samples' rows and their one-rings' come from one relaxation that
+    holds each distinct row once.  The mesh Jacobian reads x's row from
+    them and relaxes only its ball's pairs."""
     solves, relaxations = [], []
 
     def count(calls, real):
         def counted(*args, **kwargs):
-            calls.append(1)
+            calls.append(args)
             return real(*args, **kwargs)
         return counted
 
     monkeypatch.setattr(naturalmap, "barycenter", count(solves, naturalmap.barycenter))
     monkeypatch.setattr(MMGraph, "_relax", count(relaxations, MMGraph._relax))
     cpath = tmp_path / "nm.json"
-    for overrides, per_sample in (({}, 1), ({"mesh_radius": 0.6}, 2)):
+    for overrides, mesh in (({}, 0), ({"mesh_radius": 0.6}, 1)):
         solves.clear()
         relaxations.clear()
         cpath.write_text(small_naturalmap(**overrides))
@@ -707,10 +708,50 @@ def test_naturalmap_solves_each_f_s_once(tmp_path, monkeypatch):
         assert payload["equivariance"] is not None
         assert len(solves) == samples * s_count + min(4, samples)
         # one row each for the net's connectivity check, the entropy ball
-        # and the sample order; one call per sample for it and its one-ring,
-        # and one for its mesh ball's pairs; one call for the deck images
-        # of the gate
-        assert len(relaxations) == 3 + per_sample * samples + 1
+        # and the sample order; one call for the samples and their
+        # one-rings; one per sample for its mesh ball's pairs; one call for
+        # the deck images of the gate
+        assert len(relaxations) == 3 + 1 + mesh * samples + 1
+        cover, rows = relaxations[3][:2]
+        distinct = {cover.index[v] for x in map(cover.vertex, payload["samples"])
+                    for v in (x, *naturalmap._one_ring(cover, x))}
+        assert len(rows) == len(distinct) and set(rows) == distinct
+
+
+def test_naturalmap_rows_split_at_the_chunk_size(tmp_path, monkeypatch):
+    """With relaxation chunks of a few rows the samples' rows are relaxed
+    in several groups of consecutive samples.  No group holds more than a
+    chunk, or one sample's rows where those alone exceed it, and the run's
+    CSV and stdout are the bytes of the unsplit run."""
+    cpath = tmp_path / "nm.json"
+    cpath.write_text(small_naturalmap(num_samples=8))
+    argv = ["--seed", "1", "naturalmap", str(cpath)]
+    code, out, files = run_cli(argv, tmp_path)
+    assert code == 0
+    vertices = json.loads(out)["vertices"]
+    calls = []
+    distance_rows = MMGraph.distance_rows
+
+    def recording(self, sources, cutoff=None, columns=None):
+        calls.append((self, list(sources)))
+        return distance_rows(self, sources, cutoff=cutoff, columns=columns)
+
+    monkeypatch.setattr(MMGraph, "distance_rows", recording)
+    for chunk in (24, 30):
+        calls.clear()
+        monkeypatch.setattr(mmgraph, "CHUNK_LABELS", chunk * vertices)
+        code, split_out, split_files = run_cli(argv, tmp_path)
+        assert code == 0
+        assert split_out == out
+        assert split_files["naturalmap_run.csv"] == files["naturalmap_run.csv"]
+        # the entropy ball and the sample order come first, the deck images last
+        cover = calls[0][0]
+        groups = [rows for _, rows in calls[2:-1]]
+        assert len(groups) > 1
+        ring_rows = [1 + len(naturalmap._one_ring(cover, cover.vertex(x)))
+                     for x in json.loads(out)["samples"]]
+        for rows in groups:
+            assert len(set(rows)) == len(rows) <= max(chunk, *ring_rows)
 
 
 def tail_cells(csv_bytes):

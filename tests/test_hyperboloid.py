@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from barylab import hyperboloid as hyp
+from barylab import graphs, hyperboloid as hyp
 from barylab.errors import (
     DegenerateGradientError,
     InvalidPointError,
     SingularHessianError,
 )
+
+from oracles import minkowski_dot_reference, sample_ball_reference
 
 
 RNG = np.random.default_rng(20240811)
@@ -331,3 +334,54 @@ def test_log_many_and_dist_many_agree_with_scalar():
     for i in range(64):
         assert abs(D[i] - hyp.dist(p, Q[i])) < 1e-12
         assert np.max(np.abs(V[i] - hyp.log(p, Q[i]))) < 1e-10
+
+
+# operand pairs of the Minkowski kernel: a last axis of `lengths`, shaped
+# (k,), (m, k) or broadcast as (m, 1, k) against (1, m', k)
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.0**-1040, 1.0]
+
+
+@st.composite
+def operands(draw, lengths, elements):
+    k, m, m2 = draw(lengths), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shapes = draw(st.sampled_from([((k,), (k,)), ((m, k), (m, k)),
+                                   ((m, 1, k), (1, m2, k))]))
+    return tuple(draw(hnp.arrays(np.float64, shape, elements=elements)) for shape in shapes)
+
+
+@derandomized
+@given(operands(st.integers(1, 8),
+                st.one_of(st.sampled_from(SPECIAL), st.floats(-4.0, 4.0), st.floats())))
+def test_minkowski_dot_equals_the_reduction_up_to_n_7(pair):
+    """The kernel returns numpy's reduction bit for bit for n <= 7: equal
+    values and signs of zero, and NaN in the same places (a NaN's sign bit
+    is not a value: the reduction negates u0 v0 where the kernel subtracts
+    it)."""
+    with np.errstate(all="ignore"):
+        got = np.asarray(hyp.minkowski_dot(*pair))
+        want = np.asarray(minkowski_dot_reference(*pair))
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan], want[~nan])
+    assert np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
+
+
+@derandomized
+@given(operands(st.integers(9, 16), st.one_of(st.sampled_from([0.0, -0.0, 5e-324]),
+                                               st.floats(-1e150, 1e150))))
+def test_minkowski_dot_near_the_reduction_from_n_8(pair):
+    """From n = 8 numpy sums in pairwise blocks, so the two sums may differ
+    by rounding: within (n+1) 2^-52 sum |u_i v_i|."""
+    got, want = hyp.minkowski_dot(*pair), minkowski_dot_reference(*pair)
+    bound = pair[0].shape[-1] * 2.0**-52 * np.abs(pair[0] * pair[1]).sum(axis=-1)
+    assert (np.abs(got - want) <= bound).all()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_sample_ball_draws_the_reference_stream(n):
+    for seed in (1, 2, 3):
+        for count in (1, 200, 20_000):
+            got = graphs._sample_ball(np.random.default_rng(seed), n, 2.0, count)
+            want = sample_ball_reference(np.random.default_rng(seed), n, 2.0, count)
+            assert np.array_equal(got, want)
