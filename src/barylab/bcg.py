@@ -22,10 +22,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundViolationError, OutsideDomainError
+from .errors import BoundViolationError, ConfigurationError, OutsideDomainError
 
 CHUNK = 20_000  # samples per independently seeded block of a scan
 VIOLATION_RTOL = 1e-9
+# Margin of the Weyl certificate in domain_mask.  The rounding of D's
+# entries and the backward errors of eigvalsh on H and on D add up to
+# O(N^2 d^2 eps ||H||), with ||H|| < N for a trace-one H that passes the
+# certificate: under 1e-12 at N = d = 8, and under 2e-10 at N = 100, beyond
+# which a CHUNK of samples no longer fits in memory.  So a certified sample
+# also passes the exact test on the computed D.
+DOMAIN_MARGIN = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +148,34 @@ def bcg_bound(N: int, d: int = 1) -> float:
 
 
 def denominator_matrix(H, J):
-    """I - H - sum_i J_i H J_i for one H or a stack of them (..., N, N)."""
+    """I - H - sum_i J_i H J_i for one H or a stack of them (..., N, N).
+
+    For the canonical structures (signed permutation matrices) every entry
+    of J_i H J_i is +-H_jk or an exact zero, so the products are exact in
+    any summation order.
+    """
     D = np.eye(H.shape[-1]) - H
     for Ji in J:
-        D = D - np.einsum("ij,...jk,kl->...il", Ji, H, Ji)
+        D = D - Ji @ H @ Ji
     return D
+
+
+def domain_mask(D, eigs, d):
+    """Which matrices of a stack D = denominator_matrix(H, J) are positive
+    definite, given eigs = eigvalsh(H) in ascending order and the d - 1
+    structures J_i of (N, d).
+
+    Weyl certificate: J_i^T = -J_i, so D = (I - H) + sum_i J_i H J_i^T, and
+    each J_i H J_i^T is similar to H.  By Weyl's inequality
+    lambda_min(D) >= 1 - lambda_max(H) + (d - 1) lambda_min(H), so a sample
+    whose bound exceeds DOMAIN_MARGIN is accepted from the spectrum of H
+    alone.  Every other sample takes the exact test eigvalsh(D)[:, 0] > 0.
+    """
+    ok = 1.0 - eigs[:, -1] + (d - 1) * eigs[:, 0] > DOMAIN_MARGIN
+    unsure = ~ok
+    if np.any(unsure):
+        ok[unsure] = np.linalg.eigvalsh(D[unsure])[:, 0] > 0
+    return ok
 
 
 def bcg_ratio(inp: SpectralInput) -> float:
@@ -247,11 +277,10 @@ def _scan_block(N, d, size, rng, structures, bound):
     H = np.concatenate([sample(rng, N, b - a)
                         for sample, a, b in zip(SAMPLERS.values(), [0] + ends, ends)])
     D = denominator_matrix(H, structures)
-    d_eigs = np.linalg.eigvalsh(D)
-    ok = d_eigs[:, 0] > 0
+    eigs = np.linalg.eigvalsh(H)
+    ok = domain_mask(D, eigs, d)
     ratios = np.full(size, np.nan)
     ratios[ok] = np.linalg.det(H[ok]) / np.linalg.det(D[ok]) ** 2
-    eigs = np.linalg.eigvalsh(H)
     deficits = np.sum((eigs - 1.0 / N) ** 2, axis=1)
     bad = ok & (ratios > bound * (1.0 + VIOLATION_RTOL))
     if np.any(bad):
@@ -274,15 +303,21 @@ def bcg_scan(N: int, d: int, count: int, rng=None, threads: int = 1) -> ScanRepo
     """Sample `count` inputs H, in equal shares from each of SAMPLERS, and
     verify the inequality on each with the canonical structures of (N, d).
 
-    Any ratio above bound * (1 + 1e-9) aborts with the counterexample
-    serialized in the exception.  The empirical deficit constant is the
-    infimum over samples of (1 - sqrt(ratio/bound)) / sum_j (mu_j - 1/N)^2.
+    A sample whose denominator matrix is not positive definite gets a NaN
+    ratio and counts in `outside_domain`; `domain_mask` decides, from the
+    Weyl certificate on the spectrum of H where it holds and from the
+    eigenvalues of D elsewhere.  Any ratio above bound * (1 + 1e-9) aborts
+    with the counterexample serialized in the exception.  The empirical
+    deficit constant is the infimum over samples of
+    (1 - sqrt(ratio/bound)) / sum_j (mu_j - 1/N)^2.
     Chunks of CHUNK samples carry RNG streams spawned independently from
     the int seed `rng` (None reads as 0) and are merged in chunk order, so
     results are byte-identical for any thread count.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
     bound = bcg_bound(N, d)
     structures = canonical_structures(N, d)
     sizes = [min(CHUNK, count - lo) for lo in range(0, count, CHUNK)]
@@ -323,28 +358,3 @@ def bcg_scan(N: int, d: int, count: int, rng=None, threads: int = 1) -> ScanRepo
         deficits=deficits_all,
     )
 
-
-def ratio_line_scan(N, direction, t_max=None, steps=100):
-    """Ratio along H_t = I/N + t * diag(direction), d = 1.
-
-    `direction` must be trace-free; t_max defaults to the largest t keeping
-    the spectrum inside (0, 0.41), where the log-ratio is concave in t and
-    hence decreasing away from the maximum at t = 0.
-    """
-    direction = np.asarray(direction, dtype=float)
-    if abs(np.sum(direction)) > 1e-12:
-        raise ValueError("direction must be trace-free")
-    scale = np.max(np.abs(direction))
-    if scale == 0:
-        raise ValueError("direction must be nonzero")
-    if t_max is None:
-        up = (0.41 - 1.0 / N) / np.max(direction) if np.max(direction) > 0 else np.inf
-        down = (1.0 / N - 1e-6) / -np.min(direction) if np.min(direction) < 0 else np.inf
-        t_max = 0.999 * min(up, down)
-    ts = np.linspace(0.0, t_max, steps)
-    vals = []
-    for t in ts:
-        eigs = 1.0 / N + t * direction
-        ratio = float(np.prod(eigs) / np.prod(1.0 - eigs) ** 2)
-        vals.append(ratio)
-    return ts, np.array(vals)

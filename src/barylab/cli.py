@@ -65,11 +65,18 @@ def _fmt(x):
     return text
 
 
+def _cells(col):
+    if not isinstance(col, np.ndarray):
+        return map(_fmt, col)
+    # a numpy string column holds cells already formatted by _fmt
+    return col.tolist() if col.dtype.kind == "U" else map(repr, col.tolist())
+
+
 def _write_csv(out_dir, name, config, header, columns):
     """Write a CSV report (version/digest comment, header, one row per column
-    entry) to out_dir/name and return its path; numpy columns skip _fmt."""
-    cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray) else map(_fmt, col)
-             for col in columns]
+    entry) to out_dir/name and return its path.  Numeric numpy columns skip
+    _fmt (repr of each float); numpy string columns are written as is."""
+    cells = [_cells(col) for col in columns]
     lines = [f"# barylab {__version__} config {_digest(config)}", ",".join(header)]
     lines += map(",".join, zip(*cells))
     path = os.path.join(out_dir, name)
@@ -226,7 +233,7 @@ def cmd_bcg(args):
               + ["ratio", "bound", "deficit", "margin"])
     out = _write_csv(args.out_dir, "bcg_scan.csv", config, header,
                      [np.arange(report.count), *report.eigenvalues.T, report.ratios,
-                      np.full(report.count, report.bound), report.deficits,
+                      np.full(report.count, _fmt(report.bound)), report.deficits,
                       report.bound - report.ratios])
     _print_json({**_stamp(config), **report.summary(), "csv": out})
     return 0
@@ -293,7 +300,7 @@ def build_parser():
     parser.add_argument("--tol", type=float, default=1e-9,
                         help="solver tolerance where applicable")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for scans (results unchanged)")
+                        help="worker threads for scans, >= 1 (results unchanged)")
     parser.add_argument("--out-dir", default=".",
                         help="directory for CSV/JSON artifacts")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -346,6 +353,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     os.makedirs(args.out_dir, exist_ok=True)
     try:
+        if args.threads < 1:
+            raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except (BoundViolationError, SolverFailureError) as exc:
         sys.stderr.write(f"violation: {exc}\n")

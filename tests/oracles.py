@@ -22,7 +22,11 @@ check that the one-evaluation solver follows the same iterates bit for bit.
 reduction sums it, and `sample_ball_reference` the ball sampler's draw
 loop as it calls the generator's `normal` and `uniform` one draw at a
 time; both are kept to check that the library's kernel and sampler return
-the same floats.
+the same floats.  `einsum_denominator_matrix` is the BCG denominator as the
+three-operand einsum computed it, kept to check that the matmul products
+return the same floats for the canonical structures.  `ratio_line_scan`
+evaluates the BCG ratio along a diagonal line in closed form, from the
+spectrum alone.
 """
 
 import heapq
@@ -589,3 +593,38 @@ def brute_force_deck(base, voltage):
                 phi.update({(v, s): (v, conj[s]) for s in range(k)})
             deck.append(phi)
     return deck
+
+
+def ratio_line_scan(N, direction, t_max=None, steps=100):
+    """Ratio along H_t = I/N + t * diag(direction), d = 1.
+
+    `direction` must be trace-free; t_max defaults to the largest t keeping
+    the spectrum inside (0, 0.41), where the log-ratio is concave in t and
+    hence decreasing away from the maximum at t = 0.
+    """
+    direction = np.asarray(direction, dtype=float)
+    if abs(np.sum(direction)) > 1e-12:
+        raise ValueError("direction must be trace-free")
+    scale = np.max(np.abs(direction))
+    if scale == 0:
+        raise ValueError("direction must be nonzero")
+    if t_max is None:
+        up = (0.41 - 1.0 / N) / np.max(direction) if np.max(direction) > 0 else np.inf
+        down = (1.0 / N - 1e-6) / -np.min(direction) if np.min(direction) < 0 else np.inf
+        t_max = 0.999 * min(up, down)
+    ts = np.linspace(0.0, t_max, steps)
+    vals = []
+    for t in ts:
+        eigs = 1.0 / N + t * direction
+        ratio = float(np.prod(eigs) / np.prod(1.0 - eigs) ** 2)
+        vals.append(ratio)
+    return ts, np.array(vals)
+
+
+def einsum_denominator_matrix(H, J):
+    """I - H - sum_i J_i H J_i by the three-operand einsum the library used
+    before its structure products became matmuls."""
+    D = np.eye(H.shape[-1]) - H
+    for Ji in J:
+        D = D - np.einsum("ij,...jk,kl->...il", Ji, H, Ji)
+    return D

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from barylab import bcg
 from barylab.bcg import (
     CHUNK,
     SpectralInput,
@@ -9,9 +10,11 @@ from barylab.bcg import (
     bcg_scan,
     canonical_structures,
     denominator_matrix,
-    ratio_line_scan,
+    domain_mask,
 )
-from barylab.errors import OutsideDomainError
+from barylab.errors import ConfigurationError, OutsideDomainError
+
+from oracles import einsum_denominator_matrix, ratio_line_scan
 
 
 def test_bound_closed_forms():
@@ -158,3 +161,69 @@ def _random_pd_trace_one(rng, n):
     G = rng.normal(size=(n, n))
     H = G @ G.T + 1e-8 * np.eye(n)
     return H / np.trace(H)
+
+
+def _boundary_hugging(rng, N, count):
+    """Trace-one H with top eigenvalue 1 - 10^u, u uniform in [-16, -5]."""
+    top = 1.0 - 10.0 ** rng.uniform(-16, -5, size=count)
+    rest = rng.dirichlet(np.ones(N - 1), size=count) * (1.0 - top)[:, None]
+    eigs = np.concatenate([top[:, None], rest], axis=1)
+    Q, _ = np.linalg.qr(rng.normal(size=(count, N, N)))
+    H = (Q * eigs[:, None, :]) @ np.swapaxes(Q, 1, 2)
+    return 0.5 * (H + np.swapaxes(H, 1, 2))
+
+
+@pytest.mark.parametrize("N, d", [(3, 1), (4, 2), (8, 4)])
+def test_domain_certificate_matches_exact_test(N, d):
+    """On boundary-hugging stacks the Weyl certificate plus its fallback
+    accepts exactly the samples whose denominator is positive definite."""
+    rng = np.random.default_rng(100 * N + d)
+    H = _boundary_hugging(rng, N, 20_000)
+    D = denominator_matrix(H, canonical_structures(N, d))
+    eigs = np.linalg.eigvalsh(H)
+    certified = 1.0 - eigs[:, -1] + (d - 1) * eigs[:, 0] > bcg.DOMAIN_MARGIN
+    assert 0 < np.sum(certified) < len(H)  # both paths are taken
+    exact = np.linalg.eigvalsh(D)[:, 0] > 0
+    assert not np.all(exact)  # the stack reaches outside the domain
+    assert np.array_equal(domain_mask(D, eigs, d), exact)
+
+
+@pytest.mark.parametrize("N, d, spectrum", [
+    (3, 1, [1.5, -0.25, -0.25]),
+    # lambda_max < 1, but the structure term carries the negative eigenvalue
+    # into D: a certificate from lambda_max(H) alone would accept it
+    (4, 2, [0.9, 0.3, -0.5, 0.3]),
+])
+def test_doctored_samples_take_the_fallback(N, d, spectrum, monkeypatch):
+    """A sampler returning H outside the domain gives NaN ratios counted in
+    outside_domain; every other sample scans as before."""
+    def doctored(rng, n, count):
+        return np.repeat(np.diag(spectrum)[None], count, axis=0)
+
+    J = canonical_structures(N, d)
+    H = doctored(None, N, 1)
+    assert not np.any(np.linalg.eigvalsh(denominator_matrix(H, J))[:, 0] > 0)
+    assert not np.any(domain_mask(denominator_matrix(H, J), np.linalg.eigvalsh(H), d))
+    monkeypatch.setitem(bcg.SAMPLERS, "dirichlet", doctored)
+    report = bcg_scan(N, d, 3000, rng=1)
+    assert report.outside_domain == 1000
+    assert np.all(np.isnan(report.ratios[1000:2000]))
+    assert np.all(np.isfinite(np.delete(report.ratios, np.s_[1000:2000])))
+    assert report.violations == 0
+
+
+@pytest.mark.parametrize("N, d", [(4, 2), (8, 2), (4, 4), (8, 4), (8, 8)])
+def test_denominator_matches_einsum_bit_for_bit(N, d):
+    """For the canonical structures (signed permutations) the matmul
+    products equal the three-operand einsum exactly."""
+    rng = np.random.default_rng(N + d)
+    J = canonical_structures(N, d)
+    for H in (bcg._sample_wishart(rng, N, 2000), _boundary_hugging(rng, N, 2000)):
+        assert np.array_equal(denominator_matrix(H, J), einsum_denominator_matrix(H, J))
+        assert np.array_equal(denominator_matrix(H[0], J), einsum_denominator_matrix(H[0], J))
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_scan_refuses_threads_below_one(threads):
+    with pytest.raises(ConfigurationError):
+        bcg_scan(3, 1, 10, rng=1, threads=threads)

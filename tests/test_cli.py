@@ -913,3 +913,33 @@ def test_naturalmap_mesh_radius_output_pinned(tmp_path):
     assert code == 0
     assert (hashlib.sha256(files["naturalmap_run.csv"]).hexdigest()
             == "7635ba7743b6cffb001be9f2941b8316cca39d1f231793866720931defe76cc5")
+
+
+@pytest.mark.parametrize("argv, csv_sha, stdout_sha", [
+    pytest.param(["--N", "3"],
+                 "3cc4025764a385b2eef93799c7aeacf921ecfb8d022123f157afc9ad7f8184e7",
+                 "073abdf7be2483815a6653c38c19914c6d16ac2de20b8557b6ebf9cdaaf89c33", id="N3d1"),
+    pytest.param(["--N", "6", "--d", "2"],
+                 "1ea3bd40b1df6538d582a2a40d1b5f002a55f6d404b80821b3277d05699b13c7",
+                 "ee1bf207ee1098b2a42449f1bc5ea535e0932a0d3b0344fc297574ca975e03b2", id="N6d2"),
+])
+def test_bcg_output_pinned(argv, csv_sha, stdout_sha, tmp_path):
+    """`bcg --seed 1 --count 3000` writes the bytes recorded at commit
+    fc5470a: the sha256 of bcg_scan.csv, and of stdout without its "csv"
+    line (the one path-dependent field).  It moves under the same rule as
+    test_naturalmap_output_pinned."""
+    code, out, files = run_cli(["--seed", "1", "bcg", *argv, "--count", "3000"], tmp_path)
+    assert code == 0
+    stdout = "".join(line for line in out.splitlines(keepends=True)
+                     if not line.startswith('  "csv": '))
+    assert hashlib.sha256(files["bcg_scan.csv"]).hexdigest() == csv_sha
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_refused(threads, tmp_path, capsys):
+    code, out, files = run_cli(["--threads", threads, "bcg", "--N", "3", "--count", "10"],
+                               tmp_path)
+    assert code == 2
+    assert out == "" and files == {}
+    assert "--threads must be >= 1" in capsys.readouterr().err
