@@ -15,7 +15,6 @@ from barylab.naturalmap import (
     deck_equivariance,
     entropy_volume_report,
     run_natural_map,
-    s_grid,
 )
 
 rng = np.random.default_rng(7)
@@ -61,6 +60,3 @@ print("deck equivariance of the pipeline:")
 gate = deck_equivariance(g, images, deck, rot, run.for_s(s_values[0])[:1], cfg)
 print(f"  F_s(deck x) vs rot F_s(x): deviation {gate.value:.2e}")
 
-print()
-print(f"the geometric approach grid for limit monitoring: "
-      f"{[round(s, 3) for s in s_grid(est.h, levels=5)]}")

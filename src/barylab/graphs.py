@@ -6,8 +6,11 @@ one (n, N+1) array `images` in the order of `graph.vertices`.
 Both nets come from one greedy construction, `_orbit_net`, which draws at
 most MAX_NET_DRAWS sample points.  Every distance test it makes, for
 acceptance and for edges, goes through one pair search, `_pairs_within`,
-which buckets points in a grid of Poincare-ball cells so that a point
-meets only its neighbours; `hyp.dist` decides each pair.
+which buckets points in a grid on their log-map coordinates at the
+basepoint so that a point meets only its neighbours; `hyp.dist` decides
+each pair.  The log map at a point of a CAT(0) space does not increase
+distances, so cells as wide as the threshold hold every partner of a
+point among the 3^n cells around its own.
 """
 
 from __future__ import annotations
@@ -105,11 +108,16 @@ def _sample_ball(rng, n, radius, count):
     """Points roughly uniform in a hyperbolic ball: sinh^(n-1) radial law.
 
     The draws are made one point at a time (a direction, then a radius), so
-    the stream of random numbers does not depend on `count`; the inverse
-    CDF and the exponential map are then applied to the whole batch, with
-    cosh and sinh taken from libm element by element.  The loop calls
-    `standard_normal` and `random`, bound once: they give the doubles of
-    `rng.normal(size=n)` and `rng.uniform()` with less overhead per call.
+    the stream of random numbers does not depend on `count`; the
+    normalisation, the inverse CDF and the exponential map are then applied
+    to the whole batch, with cosh and sinh taken from libm element by
+    element.  Each direction is drawn straight into its row of `vel` by
+    `standard_normal(out=...)`, and each level by `random()`: the doubles of
+    `rng.normal(size=n)` and `rng.uniform()`, with less overhead per call.
+    The rows are then divided by their norms, the square root of each
+    row's dot product with itself taken by a stack of (1, n) @ (n, 1)
+    products: the kernel of `u.dot(u)`, so the directions are the ones a
+    per-draw `u / sqrt(u.dot(u))` gives, bit for bit.
     """
     vel = np.zeros((count, n + 1))
     level = np.empty(count)
@@ -119,11 +127,11 @@ def _sample_ball(rng, n, radius, count):
     cdf /= cdf[-1]
     normal, uniform = rng.standard_normal, rng.random
     for i in range(count):
-        u = normal(n)
-        # the Euclidean norm as np.linalg.norm takes it: sqrt of u.dot(u)
-        vel[i, 1:] = u / math.sqrt(u.dot(u))
+        normal(out=vel[i, 1:])
         level[i] = uniform()
-    vel[:, 1:] *= np.interp(level, cdf, grid)[:, None]
+    u = vel[:, 1:]
+    u /= np.sqrt((u[:, None, :] @ u[:, :, None])[:, 0, 0])[:, None]
+    u *= np.interp(level, cdf, grid)[:, None]
     # hyp.exp at the basepoint o: cosh(theta) o + (sinh(theta) / theta) v
     theta = np.sqrt(np.maximum(hyp.minkowski_dot(vel, vel), 0.0))
     vel *= np.fromiter((math.sinh(t) / t if t >= 1e-300 else 0.0 for t in theta.tolist()),
@@ -132,23 +140,49 @@ def _sample_ball(rng, n, radius, count):
     return hyp.project_to_sheet(vel)
 
 
+def _log_coordinates(x):
+    """log_o x at the basepoint o, as (m, n) coordinates: asinh(|x'|) x' / |x'|
+    with x' = x[1:], and 0 at o."""
+    spatial = x[:, 1:]
+    norm = np.sqrt(np.einsum("ij,ij->i", spatial, spatial))
+    return spatial * (np.arcsinh(norm) / np.where(norm > 0, norm, 1.0))[:, None]
+
+
 def _pairs_within(a, b, threshold):
     """(i, j, d) arrays, in row-major order, of every d = hyp.dist(a[i], b[j])
     with d <= threshold.
 
-    Candidates come from a grid on Poincare-ball coordinates
-    u = x[1:] / (1 + x0).  The metric there is 2|du| / (1 - |u|^2) >= 2|du|,
-    so |u_p - u_q| <= d(p, q) / 2: a pair within `threshold` lies in one cell
-    or in adjacent cells of side threshold / 2 (widened by 1e-9 of itself),
-    and hyp.dist decides among the pairs of neighbouring cells.
+    Candidates come from a grid on the log-map coordinates v = log_o x at
+    the basepoint o.  In a CAT(0) space log_o does not increase distances
+    (Bridson-Haefliger, II.1.7 and II.4), so |v_p - v_q| <= d(p, q): a pair
+    within `threshold` lies in one cell or in adjacent cells of side
+    `threshold`, and hyp.dist decides among the pairs of neighbouring
+    cells.  At the rim of a radius-2 ball in H^3 such a cell is about 4x
+    smaller in hyperbolic volume than a cell of side threshold / 2 on
+    Poincare-ball coordinates, whose metric factor 2 / (1 - |u|^2) grows
+    towards the rim.
+
+    The side is widened by 1e-9 of the threshold, for the rounding of the
+    distance, and by 2^-44 max(x0)^2.  That covers the rounding of v (a few
+    ulps of |v| <= x0) and the gap between a point x and the sheet point
+    (sqrt(1 + |x'|^2), x') whose exact log is v: it moves the distance by at
+    most 2 |<x,x> + 1|, and points that `hyp.project_to_sheet` rounded onto
+    the sheet lie within a few 2^-52 x0^2 of it.  Cells are no smaller than
+    4 max|v| / 2^(62 // n), so at most 2^(62 // n - 1) + 3 of them span an
+    axis and the n-axis cell keys stay in int64.  Keys have weight 1 along
+    axis 0, so the three cells of a neighbourhood along it are one key
+    range: a point reads 3^(n-1) ranges of the sorted keys, not 3^n cells.
     """
     n = a.shape[1] - 1
     if len(a) == 0 or len(b) == 0:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
-    # cells no smaller than 4 / 2**(62 // n) keep the integer keys in int64
-    side = max(0.5 * threshold * (1 + 1e-9), 4.0 / 2.0 ** (62 // n))
-    cell_a = np.floor(a[:, 1:] / (1 + a[:, :1]) / side).astype(np.int64)
-    cell_b = np.floor(b[:, 1:] / (1 + b[:, :1]) / side).astype(np.int64)
+    va, vb = _log_coordinates(a), _log_coordinates(b)
+    extent = max(np.abs(va).max(), np.abs(vb).max())
+    x0 = max(a[:, 0].max(), b[:, 0].max())
+    side = max(threshold * (1 + 1e-9) + 2.0 ** -44 * x0 * x0,
+               4.0 * extent / 2.0 ** (62 // n))
+    cell_a = np.floor(va / side).astype(np.int64)
+    cell_b = np.floor(vb / side).astype(np.int64)
     # one key per cell, with a free layer of cells around every axis so that
     # the 3^n neighbours of a cell never wrap into another row of the grid
     low = np.minimum(cell_a.min(axis=0), cell_b.min(axis=0)) - 1
@@ -156,12 +190,12 @@ def _pairs_within(a, b, threshold):
     weight = np.cumprod(np.concatenate(([1], span[:-1])))
     key_a = (cell_a - low) @ weight
     key_b = (cell_b - low) @ weight
-    steps = (np.indices((3,) * n).reshape(n, -1).T - 1) @ weight
+    steps = (np.indices((3,) * (n - 1)).reshape(n - 1, -1).T - 1) @ weight[1:]
     by_key = np.argsort(key_b, kind="stable")
     sorted_keys = key_b[by_key]
     cells = key_a[:, None] + steps
-    start = np.searchsorted(sorted_keys, cells, side="left")
-    count = np.searchsorted(sorted_keys, cells, side="right") - start
+    start = np.searchsorted(sorted_keys, cells - 1, side="left")
+    count = np.searchsorted(sorted_keys, cells + 1, side="right") - start
     per_row = count.sum(axis=1)
     reached = np.cumsum(per_row)
     found = []

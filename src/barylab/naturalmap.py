@@ -90,11 +90,6 @@ class NaturalMapConfig:
             raise ConfigurationError("truncation radius must be positive")
 
 
-def s_grid(h_estimate: float, levels: int = 7):
-    """Geometric approach grid s_k = h * (1 + 2^-k), k = 0..levels-1."""
-    return [h_estimate * (1.0 + 2.0 ** (-k)) for k in range(levels)]
-
-
 # ---------------------------------------------------------------------------
 # the weighted measure and the mass its truncation drops
 # ---------------------------------------------------------------------------

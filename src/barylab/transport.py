@@ -260,45 +260,3 @@ def _transportation_simplex(a, b, cost):
             )
     flows = sorted((k, f) for k, f in zip(up_cell[1:], up_flow[1:]) if f > 0.0)
     return [(*divmod(k, m), np.float64(f)) for k, f in flows], pivots, pivots >= bland_after
-
-
-def brute_force_w1(mu: DiscreteMeasure, nu: DiscreteMeasure, cost):
-    """Oracle: exact W1 by enumeration over assignments of equal mass units.
-
-    Requires both measures to decompose into equally sized mass units
-    (weights are integer multiples of a common unit); intended for
-    instances of at most ~8 units per side.
-    """
-    import itertools
-
-    cost = np.asarray(cost, dtype=float)
-    unit = _common_unit(mu.weights, nu.weights)
-    left = [i for i, w in enumerate(mu.weights) for _ in range(round(w / unit))]
-    right = [j for j, w in enumerate(nu.weights) for _ in range(round(w / unit))]
-    if len(left) != len(right):
-        raise UnbalancedMeasuresError("unit decompositions differ in size")
-    if len(left) > 9:
-        raise ValueError("too many units for brute force enumeration")
-    best = np.inf
-    right_arr = np.array(right)
-    unit_cost = cost[np.array(left)[:, None], right_arr[None, :]]
-    k = len(left)
-    for perm in itertools.permutations(range(k)):
-        total = unit_cost[np.arange(k), perm].sum()
-        if total < best:
-            best = total
-    return float(best * unit)
-
-
-def _common_unit(wa, wb):
-    """Largest u dividing every weight (Euclidean gcd on floats)."""
-    unit = 0.0
-    for w in np.concatenate([wa, wb]):
-        x, y = max(unit, w), min(unit, w)
-        while y > 1e-9:
-            x, y = y, x - np.floor(x / y) * y
-        unit = x
-    for w in np.concatenate([wa, wb]):
-        if abs(w / unit - round(w / unit)) > 1e-9:
-            raise ValueError("weights are not integer multiples of a common unit")
-    return unit

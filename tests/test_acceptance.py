@@ -25,9 +25,10 @@ from barylab.naturalmap import (
     run_natural_map,
     worst_gates,
 )
-from barylab.transport import brute_force_w1, wasserstein1
+from barylab.transport import wasserstein1
 
 from oracles import (
+    brute_force_w1,
     grid_barycenter_objective,
     hyperbolic_metric,
     subgroup_index_by_coset_tables,

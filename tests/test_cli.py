@@ -13,10 +13,9 @@ from barylab.cli import main
 from barylab.errors import ConfigurationError
 from barylab.measures import DiscreteMeasure
 from barylab.mmgraph import MMGraph
-from barylab.transport import brute_force_w1
 from barylab import hyperboloid as hyp
 
-from oracles import heap_dijkstra
+from oracles import brute_force_w1, heap_dijkstra
 
 
 def run_cli(argv, tmp_path, name="out"):

@@ -378,7 +378,7 @@ def test_minkowski_dot_near_the_reduction_from_n_8(pair):
     assert (np.abs(got - want) <= bound).all()
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_sample_ball_draws_the_reference_stream(n):
     for seed in (1, 2, 3):
         for count in (1, 200, 20_000):

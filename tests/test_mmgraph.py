@@ -504,23 +504,36 @@ def test_rotation_net_matches_scalar_oracle_with_wide_band(seed, order, monkeypa
 
 @st.composite
 def pair_search_inputs(draw):
-    """Points out to radius 3 in H^2 or H^3, a threshold in [0.05, 1], and
-    some points of `b` placed within 1e-12 of the threshold from a point of
-    `a`; `b` is `a` itself when `same`."""
-    n = draw(st.sampled_from([2, 3]))
+    """Points out to radius 6 in H^2 to H^6 (the fixtures' dims) with the
+    basepoint among them, a threshold in [1e-3, 1], and some points of `b`
+    placed within 1e-12 of the threshold from a point of `a`, in a random
+    direction or along a coordinate axis through the basepoint (there
+    |log_o p - log_o q| = d(p, q) in one coordinate, the tightest case for
+    the log-map cells); `b` is `a` itself when `same`."""
+    n = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    threshold = draw(st.floats(0.05, 1.0))
-    a = np.array([hyp.random_point(rng, n, 3.0) for _ in range(draw(st.integers(1, 80)))])
+    threshold = draw(st.floats(1e-3, 1.0))
+    radius = draw(st.floats(0.5, 6.0))
+    o = hyp.basepoint(n)
+    a = [o] + [hyp.random_point(rng, n, radius) for _ in range(draw(st.integers(0, 80)))]
+    radial = []
+    for _ in range(draw(st.integers(0, 6))):
+        axis = np.zeros(n + 1)
+        axis[draw(st.integers(1, n))] = draw(st.sampled_from([-1.0, 1.0]))
+        r = draw(st.floats(0.0, radius))
+        a.append(hyp.exp(o, r * axis))
+        radial.append(hyp.exp(o, (r + threshold + draw(st.floats(-1e-12, 1e-12))) * axis))
+    a = np.array(a)
     if draw(st.booleans()):
         return a, a, threshold
-    b = [hyp.random_point(rng, n, 3.0) for _ in range(draw(st.integers(1, 80)))]
+    b = radial + [hyp.random_point(rng, n, radius) for _ in range(draw(st.integers(0, 80)))]
     for _ in range(draw(st.integers(0, 20))):
         p = a[rng.integers(len(a))]
         v = hyp.tangent_project(p, rng.normal(size=n + 1))
         v /= math.sqrt(hyp.minkowski_dot(v, v))
         b.append(hyp.exp(p, (threshold + draw(st.floats(-1e-12, 1e-12))) * v))
-    b = np.array(b)
-    if draw(st.booleans()):
+    b = np.array(b).reshape(-1, n + 1)
+    if len(b) and draw(st.booleans()):
         # a threshold equal to one of the distances tests d == threshold
         threshold = float(hyp.dist(a[0], b[-1]))
     return a, b, threshold
@@ -535,6 +548,34 @@ def test_pairs_within_matches_all_pairs(inputs):
     ei, ej = np.nonzero(full <= threshold)
     assert list(zip(i.tolist(), j.tolist())) == list(zip(ei.tolist(), ej.tolist()))
     assert d.tobytes() == full[ei, ej].tobytes()
+
+
+def test_readme_net_pair_search_work(monkeypatch):
+    # hyp.dist elements evaluated inside `_pairs_within` while the README
+    # net (order 4, radius 2, spacing 0.3, seed 1) is built: 1 335 156 on a
+    # grid of Poincare-ball cells of side threshold / 2, 678 086 on the
+    # log-map grid of side threshold
+    evaluated, inside = [0], [False]
+    dist, pairs_within = hyp.dist, graphs._pairs_within
+
+    def counting_dist(p, q):
+        d = dist(p, q)
+        evaluated[0] += d.size if inside[0] else 0
+        return d
+
+    def flagged(*args):
+        inside[0] = True
+        try:
+            return pairs_within(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(hyp, "dist", counting_dist)
+    monkeypatch.setattr(graphs, "_pairs_within", flagged)
+    g, _, _, _ = graphs.rotation_symmetric_net(np.random.default_rng(1), order=4, n=3,
+                                               radius=2.0, spacing=0.3)
+    assert (g.n, len(g.edges)) == (1880, 14190)
+    assert evaluated[0] <= 700_000
 
 
 def test_ball_net_edges_are_all_close_pairs():

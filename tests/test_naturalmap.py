@@ -21,7 +21,6 @@ from barylab.naturalmap import (
     natural_map_point,
     pushforward_with_fibers,
     run_natural_map,
-    s_grid,
     worst_gates,
 )
 from barylab.transport import wasserstein1
@@ -447,10 +446,3 @@ def test_natural_map_is_lipschitz_on_fixture():
     assert np.isfinite(lip_edges) and lip_edges > 0
     assert lip_all <= lip_edges + 1e-12
 
-
-def test_s_grid_shape():
-    grid = s_grid(2.0)
-    assert len(grid) == 7
-    assert grid[0] == 4.0
-    assert all(a > b for a, b in zip(grid, grid[1:]))
-    assert abs(grid[-1] - 2.0 * (1 + 2**-6)) < 1e-12

@@ -13,9 +13,9 @@ from barylab.errors import (
     UnbalancedMeasuresError,
 )
 from barylab.measures import DiscreteMeasure
-from barylab.transport import brute_force_w1, wasserstein1
+from barylab.transport import wasserstein1
 
-from oracles import lp_w1, rebuild_simplex
+from oracles import brute_force_w1, lp_w1, rebuild_simplex
 
 RNG = np.random.default_rng(7)
 
