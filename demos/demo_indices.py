@@ -1,10 +1,8 @@
-"""Preimage counts, analytic degree, Stallings foldings, and the coarea
-identity on small fixtures.
+"""Exact preimage counts and local degrees, Stallings foldings, and the
+coarea identity on small fixtures.
 
 Run:  python3 demos/demo_indices.py
 """
-
-import numpy as np
 
 from barylab.indices import (
     SimplicialMap,
@@ -19,21 +17,18 @@ from barylab import fixtures as ifx
 print("== preimage counting and degree on covers ==")
 for k in (1, 2, 3):
     cover = ifx.torus_cover_map(k)
-    print(f"  {k}-sheeted torus cover: pre = {pre_count(cover, 150, rng=k):.1f}, "
-          f"ind_H = {ind_H_degree(cover, rng=k)}, "
+    print(f"  {k}-sheeted torus cover: pre = {pre_count(cover):.1f}, "
+          f"ind_H = {ind_H_degree(cover)}, "
           f"ind_pi (free-group model) = "
           f"{stallings_index(ifx.cyclic_cover_subgroup(k), 2)}")
 
 refl = ifx.octahedron_reflection()
-lam = np.array([0.3, 0.3, 0.4])
-from barylab.indices import pointwise_degree
-
-print(f"  orientation-reversing sphere reflection: deg = "
-      f"{pointwise_degree(refl, 0, lam)}, ind_H = |deg| = {ind_H_degree(refl, rng=1)}")
+print(f"  orientation-reversing sphere reflection: local degrees "
+      f"{sorted(set(refl.degrees.tolist()))}, ind_H = |deg| = {ind_H_degree(refl)}")
 
 wrap = ifx.sphere_double_wrap()
-print(f"  equator double wrap of the sphere: pre = {pre_count(wrap, 200, rng=2):.1f}, "
-      f"ind_H = {ind_H_degree(wrap, rng=2)}, while ind_pi = 1 "
+print(f"  equator double wrap of the sphere: pre = {pre_count(wrap):.1f}, "
+      f"ind_H = {ind_H_degree(wrap)}, while ind_pi = 1 "
       f"(homological index can exceed the fundamental one)")
 
 print()

@@ -23,7 +23,7 @@ from . import __version__, fixtures, hyperboloid as hyp
 from .barycenter import barycenter
 from .bcg import bcg_scan
 from .errors import BarylabError, BoundViolationError, ConfigurationError, SolverFailureError
-from .fixtures import NUMBER, NUMBERS, POSITIVE, interval
+from .fixtures import NUMBER, NUMBERS, POSITIVE, check_field, interval
 from .indices import coarea_check, ind_H_degree, pre_count, stallings_index
 from .io import (
     load_embedding,
@@ -242,7 +242,7 @@ def cmd_bcg(args):
 def cmd_indices(args):
     data = load_json(args.input)
     config = {"command": "indices", "input": args.input, "mode": args.mode,
-              "samples": args.samples, "seed": args.seed}
+              "seed": args.seed}
     out = dict(_stamp(config))
     smap = None
     if "fixture" in data:
@@ -252,15 +252,21 @@ def cmd_indices(args):
     elif "simplicial_map" in data:
         smap = load_simplicial_map(data["simplicial_map"])
     if smap is not None and args.mode in ("pre", "all"):
-        out["pre"] = pre_count(smap, args.samples, rng=args.seed)
+        out["pre"] = pre_count(smap)
     if smap is not None and args.mode in ("degree", "indh", "all"):
-        out["ind_H"] = ind_H_degree(smap, rng=args.seed)
+        out["ind_H"] = ind_H_degree(smap)
     if args.mode in ("indpi", "all"):
         if "subgroup" in data:
-            sg = data["subgroup"]
-            out["ind_pi"] = stallings_index(sg["generators"], sg["rank"])
+            sg = check_field("subgroup", data["subgroup"],
+                             ("a JSON object", lambda x: isinstance(x, dict)))
+            words = check_field("generators", sg["generators"], (
+                "a list of strings", lambda x: isinstance(x, list)
+                and all(isinstance(w, str) for w in x)))
+            out["ind_pi"] = stallings_index(words, check_field(
+                "rank", sg["rank"], interval(1, 26, True)))
         elif "declared_ind_pi" in data:
-            out["ind_pi"] = data["declared_ind_pi"]
+            out["ind_pi"] = check_field("declared_ind_pi", data["declared_ind_pi"],
+                                        interval(0, integer=True))
     if args.mode == "all" and "pre" in out and "ind_H" in out:
         consistent = out["pre"] >= out["ind_H"] - 1e-9
         if "ind_pi" in out and out["ind_pi"] > 0:
@@ -338,7 +344,6 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("--mode", default="all",
                    choices=["pre", "degree", "indh", "indpi", "all"])
-    p.add_argument("--samples", type=int, default=200)
     p.set_defaults(func=cmd_indices)
 
     p = sub.add_parser("coarea", help="coarea identity check")

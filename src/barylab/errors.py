@@ -88,10 +88,6 @@ class ConfigurationError(BarylabError, ValueError):
     """Inconsistent or out-of-range configuration values."""
 
 
-class NonGenericSampleError(BarylabError, ValueError):
-    """A sampled point hit a measure-zero degenerate locus and retries ran out."""
-
-
 class BoundViolationError(BarylabError, AssertionError):
     """A proved inequality failed beyond tolerance; counterexample attached."""
 

@@ -1,8 +1,8 @@
 """Topological index invariants at desk scale.
 
 - `simplicial`: oriented pseudomanifolds, simplicial and piecewise-linear
-  maps, preimage counting, pointwise analytic degree, the homological
-  index, and the coarea identity check.
+  maps, exact preimage counts and local degrees, the homological index,
+  and the coarea identity check.
 - `stallings`: core graphs of finitely generated free-group subgroups via
   edge foldings; finite index is detected by completeness of the core.
 """
@@ -13,7 +13,6 @@ from .simplicial import (
     SimplicialMap,
     coarea_check,
     ind_H_degree,
-    pointwise_degree,
     pre_count,
 )
 from .stallings import FoldedGraph, fold_words, stallings_index
@@ -24,7 +23,6 @@ __all__ = [
     "SimplicialMap",
     "coarea_check",
     "ind_H_degree",
-    "pointwise_degree",
     "pre_count",
     "FoldedGraph",
     "fold_words",

@@ -8,11 +8,15 @@ each top simplex affinely in R^n (positively oriented with respect to the
 vertex order), giving piecewise-linear volumes.
 
 For a simplicial map, the affine restriction to a nondegenerate simplex is
-a bijection onto a target top simplex, so generic preimage counting and
-degree signs reduce to barycentric bookkeeping; the Jacobian modulus is the
-volume ratio.  `PLMap` drops the simplicial constraint on images (vertices
-map to arbitrary points of R^n), which is what the Monte-Carlo side of the
-coarea identity genuinely integrates over.
+a bijection onto a target top simplex, so every generic point of a target
+simplex t has exactly one preimage in each domain simplex mapped onto t
+(local degree: Hatcher, Algebraic Topology, 2002, 2.2).  `SimplicialMap`
+keeps per target simplex the number of those domain simplices (`counts`)
+and the sum of their orientation signs (`degrees`); the preimage count and
+the homological index are exact sums over them, and the Jacobian modulus
+is the volume ratio.  `PLMap` drops the simplicial constraint on images
+(vertices map to arbitrary points of R^n), which is what the Monte-Carlo
+side of the coarea identity genuinely integrates over.
 """
 
 from __future__ import annotations
@@ -21,10 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from ..errors import NonGenericSampleError
-
-GENERIC_TOL = 1e-12
 
 
 def _parity(seq):
@@ -134,13 +134,16 @@ class Pseudomanifold:
 @dataclass
 class _SimplexImage:
     target: int | None   # target simplex index, None when degenerate
-    sign: int            # orientation sign of the vertex bijection
-    perm: tuple          # position of each domain vertex's image in the target tuple
     vol_ratio: float     # |det| of the affine restriction
 
 
 class SimplicialMap:
-    """Vertex map inducing a simplicial map between pseudomanifolds."""
+    """Vertex map inducing a simplicial map between pseudomanifolds.
+
+    `counts[t]` is the number of nondegenerate domain simplices mapped onto
+    target simplex t, `degrees[t]` the sum of their orientation signs: the
+    preimage count and the local degree at every generic point of t.
+    """
 
     def __init__(self, domain: Pseudomanifold, target: Pseudomanifold, vertex_map):
         if domain.dim != target.dim:
@@ -152,10 +155,12 @@ class SimplicialMap:
         if missing:
             raise ValueError(f"vertex map undefined on {missing[:5]}")
         self.images = []
+        self.counts = np.zeros(len(target.simplices), dtype=int)
+        self.degrees = np.zeros(len(target.simplices), dtype=int)
         for idx, s in enumerate(domain.simplices):
             img = tuple(self.vertex_map[v] for v in s)
             if len(set(img)) != len(img):
-                self.images.append(_SimplexImage(None, 0, (), 0.0))
+                self.images.append(_SimplexImage(None, 0.0))
                 continue
             key = tuple(sorted(img))
             tgt = target.by_vertex_set.get(key)
@@ -163,27 +168,11 @@ class SimplicialMap:
                 raise ValueError(
                     f"image {img} of simplex {s} is not a target top simplex"
                 )
-            t_tuple = target.simplices[tgt]
-            perm = tuple(t_tuple.index(w) for w in img)
-            sign = _parity(perm)
             vol = domain.volume(idx)
             ratio = target.volume(tgt) / vol if vol > 0 else 0.0
-            self.images.append(_SimplexImage(tgt, sign, perm, ratio))
-        self.degenerate = [i for i, m in enumerate(self.images) if m.target is None]
-
-    def preimages(self, tgt_idx, lam):
-        """Domain simplices containing a preimage of the barycentric point
-        `lam` of target simplex `tgt_idx`; the point must be generic."""
-        if np.min(lam) <= GENERIC_TOL:
-            raise NonGenericSampleError("point lies on the (n-1)-skeleton image")
-        hits = []
-        for idx, m in enumerate(self.images):
-            if m.target != tgt_idx:
-                continue
-            pre_lam = np.array([lam[m.perm[i]] for i in range(len(m.perm))])
-            if np.min(pre_lam) > 0:
-                hits.append((idx, m.sign))
-        return hits
+            self.images.append(_SimplexImage(tgt, ratio))
+            self.counts[tgt] += 1
+            self.degrees[tgt] += _parity(target.simplices[tgt].index(w) for w in img)
 
 
 class PLMap:
@@ -212,64 +201,31 @@ class PLMap:
         return abs(float(np.linalg.det(M)))
 
 
-def _sample_target_simplex(target: Pseudomanifold, rng):
-    vols = np.array([target.volume(i) for i in range(len(target.simplices))])
-    probs = vols / vols.sum()
-    return int(rng.choice(len(vols), p=probs))
-
-
-def _generic_barycentric(dim, rng, retries=100):
-    for _ in range(retries):
-        lam = rng.dirichlet(np.ones(dim + 1))
-        if np.min(lam) > GENERIC_TOL:
-            return lam
-    raise NonGenericSampleError("could not sample a generic point")
-
-
-def pre_count(f: SimplicialMap, samples: int, rng=None):
+def pre_count(f: SimplicialMap) -> float:
     """Volume-weighted average number of preimages of generic target points.
 
-    Draws `samples` target simplices proportionally to volume, each with a
-    uniform generic interior point.  A draw whose point stays non-generic
-    after 100 retries is skipped; 0.0 when every draw is.
+    The sum over the distinct counts c of c times the share of the target
+    volume where `f.counts` is c, volumes summed with `math.fsum`, so a map
+    with a constant count c reads exactly c.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, not {samples}")
-    rng = np.random.default_rng(rng)
-    counts = []
-    for _ in range(samples):
-        tgt = _sample_target_simplex(f.target, rng)
-        try:
-            lam = _generic_barycentric(f.target.dim, rng)
-        except NonGenericSampleError:
-            continue
-        counts.append(len(f.preimages(tgt, lam)))
-    return float(np.mean(counts)) if counts else 0.0
+    vols = [f.target.volume(t) for t in range(len(f.target.simplices))]
+    total = math.fsum(vols)
+    return math.fsum(
+        c * (math.fsum(v for v, n in zip(vols, f.counts) if n == c) / total)
+        for c in map(int, np.unique(f.counts))
+    )
 
 
-def pointwise_degree(f: SimplicialMap, tgt_idx: int, lam) -> int:
-    """Sum of orientation signs over the preimages of a generic point."""
-    return int(sum(sign for _, sign in f.preimages(tgt_idx, np.asarray(lam))))
-
-
-def ind_H_degree(f: SimplicialMap, rng=None, probes: int = 10) -> int:
-    """|degree| cross-validated at several generic points.
-
-    Both complexes must be closed oriented pseudomanifolds; inconsistent
-    sampled degrees indicate the input is not one.
-    """
+def ind_H_degree(f: SimplicialMap) -> int:
+    """|degree|: the local degree, which must be equal on every target
+    simplex of two closed oriented pseudomanifolds."""
     if not (f.domain.closed and f.target.closed):
         raise ValueError("homological index needs closed pseudomanifolds")
-    rng = np.random.default_rng(rng)
-    degrees = set()
-    for _ in range(probes):
-        tgt = _sample_target_simplex(f.target, rng)
-        lam = _generic_barycentric(f.target.dim, rng)
-        degrees.add(pointwise_degree(f, tgt, lam))
+    degrees = set(map(int, f.degrees))
     if len(degrees) != 1:
         raise ValueError(
-            f"sampled degrees {sorted(degrees)} are inconsistent; input is not "
-            "an oriented pseudomanifold map"
+            f"local degrees {sorted(degrees)} differ across target simplices; "
+            "input is not an oriented pseudomanifold map"
         )
     return abs(degrees.pop())
 
@@ -281,11 +237,13 @@ def ind_H_degree(f: SimplicialMap, rng=None, probes: int = 10) -> int:
 def coarea_check(f, samples: int, rng=None):
     """Check integral of |Jacobian| = integral of the preimage count.
 
-    For a `SimplicialMap` the right side is the target volume times
-    `pre_count`; for a `PLMap` it is Monte-Carlo over a
-    bounding box of the image in R^n.  Returns a dict with both sides and
-    their relative gap.
+    For a `SimplicialMap` both sides are exact sums, the right side the
+    target volume times `pre_count`, and agree up to rounding; for a
+    `PLMap` the right side is Monte-Carlo over a bounding box of the image
+    in R^n.  Returns a dict with both sides and their relative gap.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, not {samples}")
     rng = np.random.default_rng(rng)
     if isinstance(f, SimplicialMap):
         lhs = 0.0
@@ -293,10 +251,8 @@ def coarea_check(f, samples: int, rng=None):
             m = f.images[idx]
             if m.target is not None:
                 lhs += m.vol_ratio * f.domain.volume(idx)
-        rhs = f.target.total_volume * pre_count(f, samples, rng)
+        rhs = f.target.total_volume * pre_count(f)
     elif isinstance(f, PLMap):
-        if samples < 1:
-            raise ValueError(f"samples must be >= 1, not {samples}")
         dim = f.domain.dim
         lhs = 0.0
         for idx in range(len(f.domain.simplices)):

@@ -8,8 +8,8 @@ The subgroup has finite index exactly when the core graph is complete
 the number of vertices; otherwise the index is reported as 0.
 
 Folding is confluent: any fold order yields the same core graph up to
-labeled isomorphism, which the canonical form (BFS numbering from the
-basepoint in label order) detects.
+labeled isomorphism (the tests check this with a canonical form kept
+apart from the folding code).
 """
 
 from __future__ import annotations
@@ -75,25 +75,6 @@ class FoldedGraph:
             len(self.out[v]) == self.rank and len(self.inc[v]) == self.rank
             for v in self.vertices
         )
-
-    def canonical_form(self):
-        """Hashable normal form: BFS renumbering from the basepoint,
-        exploring labels in order, out-edges before in-edges."""
-        order = {self.base: 0}
-        queue = [self.base]
-        while queue:
-            v = queue.pop(0)
-            for letter in range(self.rank):
-                for table in (self.out, self.inc):
-                    w = table[v].get(letter)
-                    if w is not None and w not in order:
-                        order[w] = len(order)
-                        queue.append(w)
-        edges = []
-        for v in self.vertices:
-            for letter, w in self.out[v].items():
-                edges.append((order[v], letter, order[w]))
-        return (len(order), tuple(sorted(edges)))
 
     def reads_word(self, word):
         """Whether the word traces a closed path at the basepoint (subgroup

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import hyperboloid as hyp
 from .errors import ConfigurationError
+from .fixtures import check_field
 from .indices.simplicial import Pseudomanifold, SimplicialMap
 from .measures import DiscreteMeasure
 from .mmgraph import MMGraph, freeze_vertex
@@ -50,7 +51,9 @@ def load_measure(path) -> DiscreteMeasure:
 
 
 def load_complex(data) -> Pseudomanifold:
-    simplices = [tuple(freeze_vertex(v) for v in s) for s in data["simplices"]]
+    simplices = check_field("simplices", data["simplices"], (
+        "a list of lists", lambda x: isinstance(x, list) and all(isinstance(s, list) for s in x)))
+    simplices = [tuple(freeze_vertex(v) for v in s) for s in simplices]
     charts = data.get("charts")
     if charts is not None:
         charts = [np.array(c, dtype=float) for c in charts]
@@ -63,8 +66,10 @@ def load_simplicial_map(data) -> SimplicialMap:
     target = load_complex(data["target"])
     by_str = {str(v): v for v in domain.vertices}
     tgt_by_str = {str(v): v for v in target.vertices}
+    vertex_map = check_field("vertex_map", data["vertex_map"],
+                             ("a JSON object", lambda x: isinstance(x, dict)))
     vmap = {}
-    for k, img in data["vertex_map"].items():
+    for k, img in vertex_map.items():
         img = freeze_vertex(img)
         vmap[by_str[k]] = tgt_by_str.get(str(img), img)
     return SimplicialMap(domain, target, vmap)

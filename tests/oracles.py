@@ -10,7 +10,9 @@ is a binary-heap Dijkstra over the edge list, the source-gradient oracle
 loops over atoms and fibers with distance dicts, the rotation-net oracle
 builds the fixture one sample and one orbit pair at a time, and the deck
 oracle tries every permutation of the sheets against the whole monodromy
-group.
+group, the core-graph oracle renumbers a folded graph by BFS from its
+basepoint, and the preimage oracle compares vertex sets of simplices and
+takes each orientation sign as the determinant of a permutation matrix.
 
 `two_evaluation_barycenter` is not independent: it is the barycenter loop
 as it stood before the solver reused its trial logs (`dist_many` at each
@@ -217,6 +219,51 @@ def subgroup_index_by_coset_tables(words, rank, max_index=5):
         if found:
             best = k
     return best
+
+
+def canonical_form(core):
+    """Hashable normal form of a folded core graph: BFS renumbering from
+    the basepoint, exploring labels in order, out-edges before in-edges,
+    so two graphs have equal forms exactly when they are isomorphic as
+    labeled graphs with a basepoint."""
+    order = {core.base: 0}
+    queue = [core.base]
+    while queue:
+        v = queue.pop(0)
+        for letter in range(core.rank):
+            for table in (core.out, core.inc):
+                w = table[v].get(letter)
+                if w is not None and w not in order:
+                    order[w] = len(order)
+                    queue.append(w)
+    edges = []
+    for v in core.vertices:
+        for letter, w in core.out[v].items():
+            edges.append((order[v], letter, order[w]))
+    return (len(order), tuple(sorted(edges)))
+
+
+def preimage_tables(f):
+    """(counts, degrees) of a simplicial map, lists indexed by target
+    simplex: for each target simplex, the domain simplices whose image
+    vertex set equals its vertex set, and the sum of their signs, each the
+    determinant of the permutation matrix taking the target's vertex order
+    to the image's."""
+    counts, degrees = [], []
+    for t in f.target.simplices:
+        count = degree = 0
+        for s in f.domain.simplices:
+            image = [f.vertex_map[v] for v in s]
+            if set(image) != set(t):
+                continue
+            perm = np.zeros((len(t), len(t)))
+            for i, w in enumerate(image):
+                perm[i, t.index(w)] = 1.0
+            count += 1
+            degree += int(round(np.linalg.det(perm)))
+        counts.append(count)
+        degrees.append(degree)
+    return counts, degrees
 
 
 def brute_force_w1(mu, nu, cost):

@@ -227,3 +227,13 @@ def test_denominator_matches_einsum_bit_for_bit(N, d):
 def test_scan_refuses_threads_below_one(threads):
     with pytest.raises(ConfigurationError):
         bcg_scan(3, 1, 10, rng=1, threads=threads)
+
+
+def test_scan_output_does_not_depend_on_threads():
+    """Three blocks (two full chunks and a tail of 7) scanned on one thread
+    and on three give the same samples and summary, bit for bit."""
+    one = bcg_scan(4, 2, 2 * CHUNK + 7, rng=5, threads=1)
+    three = bcg_scan(4, 2, 2 * CHUNK + 7, rng=5, threads=3)
+    for name in ("eigenvalues", "ratios", "deficits"):
+        assert np.array_equal(getattr(one, name), getattr(three, name), equal_nan=True)
+    assert one.summary() == three.summary()

@@ -1,15 +1,18 @@
+import argparse
 import csv
 import hashlib
 import io
 import json
 import math
+import pathlib
+import re
 from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
 from barylab import fixtures, graphs, mmgraph, naturalmap
-from barylab.cli import main
+from barylab.cli import build_parser, main
 from barylab.errors import ConfigurationError
 from barylab.measures import DiscreteMeasure
 from barylab.mmgraph import MMGraph
@@ -215,6 +218,22 @@ def small_naturalmap(**overrides):
     })
 
 
+def triangle_map(domain=None, vertex_map=None):
+    """An `indices` input: the identity of the boundary of a triangle, a
+    closed 1-pseudomanifold, with the domain or the vertex map replaced."""
+    edges = {"dim": 1, "simplices": [[0, 1], [1, 2], [2, 0]]}
+    return json.dumps({"simplicial_map": {
+        "domain": edges if domain is None else domain, "target": edges,
+        "vertex_map": {"0": 0, "1": 1, "2": 2} if vertex_map is None else vertex_map}})
+
+
+def subgroup_input(**overrides):
+    """An `indices` input holding the subgroup <a^2, b, aba^-1> with some
+    keys replaced."""
+    return json.dumps({"subgroup": {"rank": 2, "generators": ["aa", "b", "abA"],
+                                    **overrides}})
+
+
 OFF_SHEET_SITES = ('{"atoms": [{"site": [1.1, 0.3, 0, 0], "w": 1}, '
                    '{"site": [1.2, 0, 0.4, 0], "w": 1}]}')
 
@@ -316,8 +335,6 @@ OFF_SHEET_SITES = ('{"atoms": [{"site": [1.1, 0.3, 0, 0], "w": 1}, '
                  id="naturalmap-sample-point-unknown"),
     pytest.param(["naturalmap", "IN"], missing_embedding_row,
                  id="naturalmap-embedding-row-missing"),
-    pytest.param(["indices", "IN", "--samples", "0"], '{"fixture": {"type": "torus_cover"}}',
-                 id="indices-no-samples"),
     pytest.param(["coarea", "IN", "--samples", "0"], '{"fixture": {"type": "torus_cover"}}',
                  id="coarea-no-samples"),
     pytest.param(["coarea", "IN", "--samples", "0"], '{"fixture": {"type": "jittered_pl"}}',
@@ -342,6 +359,20 @@ OFF_SHEET_SITES = ('{"atoms": [{"site": [1.1, 0.3, 0, 0], "w": 1}, '
                  id="coarea-identity-m-zero"),
     pytest.param(["indices", "IN"], '{"fixture": {"type": "identity_pl", "m": 0}}',
                  id="indices-identity-m-zero"),
+    pytest.param(["indices", "IN"], subgroup_input(generators="ab"),
+                 id="indices-generators-string"),
+    pytest.param(["indices", "IN"], subgroup_input(generators=[1, 2]),
+                 id="indices-generators-numbers"),
+    pytest.param(["indices", "IN"], subgroup_input(rank=2.5), id="indices-rank-fraction"),
+    pytest.param(["indices", "IN"], subgroup_input(rank=True), id="indices-rank-bool"),
+    pytest.param(["indices", "IN"], subgroup_input(rank=30), id="indices-rank-past-z"),
+    pytest.param(["indices", "IN"], '{"subgroup": [1]}', id="indices-subgroup-list"),
+    pytest.param(["indices", "IN"], '{"declared_ind_pi": "x"}',
+                 id="indices-declared-ind-pi-string"),
+    pytest.param(["indices", "IN"], triangle_map(domain={"dim": 1, "simplices": 5}),
+                 id="indices-simplices-number"),
+    pytest.param(["indices", "IN"], triangle_map(vertex_map=[0, 1, 2]),
+                 id="indices-vertex-map-list"),
     pytest.param(["naturalmap", "IN"], small_naturalmap(fixture={"radius": 6}),
                  id="naturalmap-net-over-the-draw-cap"),
     pytest.param(["entropy", "IN", "--rmin", "2", "--rmax", "5", "--step", "nan"],
@@ -370,8 +401,7 @@ def test_bcg_command_and_rejection(tmp_path):
 def test_indices_command_fixture(tmp_path):
     ipath = tmp_path / "cover.json"
     ipath.write_text(json.dumps({"fixture": {"type": "torus_cover", "k": 2}}))
-    code, out, _ = run_cli(["indices", str(ipath), "--mode", "all",
-                            "--samples", "60"], tmp_path)
+    code, out, _ = run_cli(["indices", str(ipath), "--mode", "all"], tmp_path)
     assert code == 0
     payload = json.loads(out)
     assert payload["pre"] == 2.0
@@ -388,7 +418,7 @@ def test_indices_command_fixture(tmp_path):
 def test_indices_command_simplicial_fixtures(tmp_path, spec, expected):
     ipath = tmp_path / "fixture.json"
     ipath.write_text(json.dumps({"fixture": spec}))
-    code, out, _ = run_cli(["indices", str(ipath), "--samples", "40"], tmp_path)
+    code, out, _ = run_cli(["indices", str(ipath)], tmp_path)
     assert code == 0
     payload = json.loads(out)
     assert {key: payload.get(key) for key in expected} == expected
@@ -553,7 +583,8 @@ def test_fixture_domain_error_names_the_field(command, spec, field, tmp_path, ca
     refuse_to_build(monkeypatch)
     ipath = tmp_path / "fixture.json"
     ipath.write_text(json.dumps({"fixture": spec}))
-    assert main(["--out-dir", str(tmp_path), command, str(ipath), "--samples", "200"]) == 2
+    samples = ["--samples", "200"] if command == "coarea" else []
+    assert main(["--out-dir", str(tmp_path), command, str(ipath), *samples]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field} must be ")
 
 
@@ -797,7 +828,7 @@ def test_determinism_all_commands(tmp_path, tree_json):
         ["--seed", "11", "entropy", tree_json, "--rmin", "4", "--rmax", "10"],
         ["--seed", "11", "barycenter", str(mpath)],
         ["--seed", "11", "bcg", "--N", "3", "--count", "400"],
-        ["--seed", "11", "indices", str(ipath), "--samples", "50"],
+        ["--seed", "11", "indices", str(ipath)],
         ["--seed", "11", "coarea", str(capath), "--samples", "5000"],
         ["--seed", "11", "naturalmap", str(nmpath)],
     ]
@@ -942,3 +973,25 @@ def test_threads_below_one_refused(threads, tmp_path, capsys):
     assert code == 2
     assert out == "" and files == {}
     assert "--threads must be >= 1" in capsys.readouterr().err
+
+
+def test_readme_synopsis_matches_the_parser():
+    """The README's CLI synopsis lists exactly the parser's global flags on
+    its first line and each command's options on that command's line."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"```\n(barylab \[.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.splitlines() if line]
+
+    def flags(text):
+        return set(re.findall(r"--[A-Za-z][\w-]*", text))
+
+    def options(parser):
+        return {s for action in parser._actions for s in action.option_strings
+                if s not in ("-h", "--help")}
+
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert flags(lines[0]) == options(parser)
+    listed = {line.split()[1]: flags(line) for line in lines[1:]}
+    assert listed == {name: options(sub) for name, sub in commands.items()}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from barylab.errors import ConfigurationError, NonGenericSampleError
+from barylab.errors import ConfigurationError
 from barylab.indices import (
     PLMap,
     Pseudomanifold,
@@ -9,14 +9,13 @@ from barylab.indices import (
     coarea_check,
     fold_words,
     ind_H_degree,
-    pointwise_degree,
     pre_count,
     stallings_index,
 )
 from barylab import fixtures
 from barylab.indices.stallings import parse_word
 
-from oracles import subgroup_index_by_coset_tables
+from oracles import canonical_form, preimage_tables, subgroup_index_by_coset_tables
 
 RNG = np.random.default_rng(2024)
 
@@ -64,85 +63,93 @@ def test_fixture_specs_build_maps_and_their_invariants():
 # pre, degree, ind_H
 # ---------------------------------------------------------------------------
 
-def test_identity_map_invariants():
-    ident = fixtures.octahedron_identity()
-    assert pre_count(ident, 200, rng=1) == 1.0
-    assert ind_H_degree(ident, rng=1) == 1
-    tgt = 0
-    lam = np.array([0.2, 0.3, 0.5])
-    assert pointwise_degree(ident, tgt, lam) == 1
-
-
-def test_covering_maps_pre_equals_sheets():
-    for k in (1, 2, 3):
-        cover = fixtures.torus_cover_map(k)
-        assert pre_count(cover, 150, rng=k) == float(k)
-        assert ind_H_degree(cover, rng=k) == k
-    for k in (2, 3):
-        cover = fixtures.circle_cover_map(k)
-        assert pre_count(cover, 100, rng=k) == float(k)
-        assert ind_H_degree(cover, rng=k) == k
-
-
-def test_reflection_has_degree_minus_one():
-    refl = fixtures.octahedron_reflection()
-    lam = np.array([0.25, 0.35, 0.4])
-    degs = {pointwise_degree(refl, t, lam) for t in range(8)}
-    assert degs == {-1}
-    assert ind_H_degree(refl, rng=3) == 1  # absolute value
-
-
-def test_degree_constancy_on_cover():
-    cover = fixtures.torus_cover_map(2)
-    rng = np.random.default_rng(8)
-    values = set()
-    for _ in range(100):
-        tgt = int(rng.integers(0, len(cover.target.simplices)))
-        lam = rng.dirichlet(np.ones(3))
-        if np.min(lam) <= 1e-12:
-            continue
-        values.add(pointwise_degree(cover, tgt, lam))
-    assert values == {2}
-
-
-def test_double_wrap_fixture():
-    wrap = fixtures.sphere_double_wrap()
-    assert pre_count(wrap, 200, rng=5) == 2.0
-    assert ind_H_degree(wrap, rng=5) == 2
-    # the domain is simply connected: the fundamental index is 1, so this
-    # fixture exhibits ind_pi = 1 strictly below ind_H = 2, and 1 divides 2
-    ind_pi = 1
-    assert ind_H_degree(wrap, rng=5) % ind_pi == 0
-
-
-def test_pre_dominates_absolute_degree_pointwise():
-    rng = np.random.default_rng(10)
-    for f in (fixtures.torus_cover_map(2), fixtures.octahedron_reflection(),
-              fixtures.sphere_double_wrap()):
-        for _ in range(50):
-            tgt = int(rng.integers(0, len(f.target.simplices)))
-            lam = rng.dirichlet(np.ones(f.target.dim + 1))
-            if np.min(lam) <= 1e-12:
-                continue
-            count = len(f.preimages(tgt, lam))
-            assert count >= abs(pointwise_degree(f, tgt, lam))
-
-
-def test_null_homotopic_collapse_is_degree_zero():
+def folded_octahedron():
     # collapse the whole sphere onto closed walks within the 1-skeleton is
     # not simplicial onto a 2-complex; instead fold the sphere over one
     # face pair: every face maps to face 0's vertex set or degenerately
     sphere = fixtures.octahedron()
     vmap = {1: 1, 2: 2, 3: 3, 4: 2, 5: 1, 6: 3}
-    folded = SimplicialMap(sphere, sphere, vmap)
-    assert ind_H_degree(folded, rng=2) == 0
+    return SimplicialMap(sphere, sphere, vmap)
 
 
-def test_non_generic_point_rejected():
-    sphere = fixtures.octahedron()
-    ident = SimplicialMap(sphere, sphere, {v: v for v in sphere.vertices})
-    with pytest.raises(NonGenericSampleError):
-        pointwise_degree(ident, 0, np.array([0.0, 0.5, 0.5]))
+# name -> (builder of a map whose preimage count is constant, that count)
+CONSTANT_COUNTS = {
+    "identity": (fixtures.octahedron_identity, 1),
+    "reflection": (fixtures.octahedron_reflection, 1),
+    "double-wrap": (fixtures.sphere_double_wrap, 2),
+    **{f"torus-cover-{k}": (lambda k=k: fixtures.torus_cover_map(k), k) for k in (1, 2, 3, 200)},
+    **{f"circle-cover-{k}": (lambda k=k: fixtures.circle_cover_map(k), k) for k in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("build", [b for b, _ in CONSTANT_COUNTS.values()] + [folded_octahedron],
+                         ids=[*CONSTANT_COUNTS, "folded"])
+def test_counts_and_degrees_match_the_oracle(build):
+    f = build()
+    counts, degrees = preimage_tables(f)
+    assert f.counts.tolist() == counts
+    assert f.degrees.tolist() == degrees
+
+
+@pytest.mark.parametrize("build, count", CONSTANT_COUNTS.values(), ids=list(CONSTANT_COUNTS))
+def test_constant_counts_read_exactly(build, count):
+    assert pre_count(build()) == float(count)
+
+
+def test_identity_map_invariants():
+    ident = fixtures.octahedron_identity()
+    assert pre_count(ident) == 1.0
+    assert ind_H_degree(ident) == 1
+    assert ident.degrees[0] == 1
+
+
+def test_covering_maps_pre_equals_sheets():
+    for k in (1, 2, 3):
+        cover = fixtures.torus_cover_map(k)
+        assert pre_count(cover) == float(k)
+        assert ind_H_degree(cover) == k
+    for k in (2, 3):
+        cover = fixtures.circle_cover_map(k)
+        assert pre_count(cover) == float(k)
+        assert ind_H_degree(cover) == k
+
+
+def test_reflection_has_degree_minus_one():
+    refl = fixtures.octahedron_reflection()
+    degs = set(refl.degrees.tolist())
+    assert degs == {-1}
+    assert ind_H_degree(refl) == 1  # absolute value
+
+
+def test_degree_constancy_on_cover():
+    cover = fixtures.torus_cover_map(2)
+    values = {int(cover.degrees[t]) for t in range(len(cover.target.simplices))}
+    assert values == {2}
+
+
+def test_double_wrap_fixture():
+    wrap = fixtures.sphere_double_wrap()
+    assert pre_count(wrap) == 2.0
+    assert ind_H_degree(wrap) == 2
+    # the domain is simply connected: the fundamental index is 1, so this
+    # fixture exhibits ind_pi = 1 strictly below ind_H = 2, and 1 divides 2
+    ind_pi = 1
+    assert ind_H_degree(wrap) % ind_pi == 0
+
+
+def test_pre_dominates_absolute_degree_pointwise():
+    for f in (fixtures.torus_cover_map(2), fixtures.octahedron_reflection(),
+              fixtures.sphere_double_wrap(), folded_octahedron()):
+        for t in range(len(f.target.simplices)):
+            assert f.counts[t] >= abs(f.degrees[t])
+
+
+def test_null_homotopic_collapse_is_degree_zero():
+    folded = folded_octahedron()
+    assert ind_H_degree(folded) == 0
+    assert set(folded.degrees.tolist()) == {0}
+    # four faces land on face 0, a target of volume 1/8 of the sphere
+    assert pre_count(folded) == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +192,10 @@ def test_membership_via_core_graph():
 
 def test_fold_confluence_over_orders():
     gens = ["abAB", "aab", "bbA"]
-    reference = fold_words(gens, 2).canonical_form()
+    reference = canonical_form(fold_words(gens, 2))
     for trial in range(100):
         rng = np.random.default_rng(trial)
-        shuffled = fold_words(gens, 2, fold_order=rng).canonical_form()
+        shuffled = canonical_form(fold_words(gens, 2, fold_order=rng))
         assert shuffled == reference
 
 
@@ -236,8 +243,8 @@ def test_consistency_pre_ind_pi_ind_H_on_covers():
     # model of the corresponding cyclic cover of the rose
     for k in (1, 2, 3):
         cover = fixtures.torus_cover_map(k)
-        pre = pre_count(cover, 120, rng=k)
-        ih = ind_H_degree(cover, rng=k)
+        pre = pre_count(cover)
+        ih = ind_H_degree(cover)
         ipi = stallings_index(fixtures.cyclic_cover_subgroup(k), 2)
         assert pre == float(k) and ih == k and ipi == k
         assert ih % ipi == 0

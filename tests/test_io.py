@@ -33,7 +33,7 @@ def test_simplicial_map_json_loader():
         "vertex_map": {str(v): v for v in sphere.vertices},
     }
     smap = load_simplicial_map(payload)
-    assert ind_H_degree(smap, rng=0) == 1
+    assert ind_H_degree(smap) == 1
 
 
 def test_chart_rank_deficiency_error():
