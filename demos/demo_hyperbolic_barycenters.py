@@ -6,7 +6,7 @@ Run:  python3 demos/demo_hyperbolic_barycenters.py
 import numpy as np
 
 from barylab import hyperboloid as hyp
-from barylab.barycenter import barycenter, psi_homotopy
+from barylab.barycenter import barycenter
 from barylab.measures import DiscreteMeasure
 from barylab.transport import wasserstein1
 
@@ -51,8 +51,12 @@ print(f"equivariance under a random isometry: deviation {dev:.2e}")
 print()
 print("== the barycentric homotopy ==")
 fx = hyp.random_point(rng, 3, 1.0)
+sigma = nu.normalize()
 for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-    pt = psi_homotopy(t, fx, nu)
+    # the barycenter of the mixture t delta(fx) + (1 - t) sigma
+    mix = DiscreteMeasure(np.vstack([fx, sigma.sites]),
+                          np.concatenate([[t], (1.0 - t) * sigma.weights]))
+    pt = barycenter(mix).coords
     print(f"  t = {t:4.2f}: distance to the t=1 endpoint"
           f" {hyp.dist(pt, fx):.4f}")
 print("t=0 is the plain barycenter, t=1 is the map value itself")

@@ -135,18 +135,3 @@ def barycenter(nu: DiscreteMeasure, tol: float = DEFAULT_TOL,
         iterations=max_iter,
     )
 
-
-def psi_homotopy(t: float, fx, sigma: DiscreteMeasure, tol: float = DEFAULT_TOL):
-    """Coordinates of the barycenter of the mixture t*delta(fx) + (1-t)*sigma.
-
-    At t=1 this is fx itself, at t=0 the barycenter of sigma, and it moves
-    continuously in t: the mixture is (|t-t'| * W1(delta_fx, sigma))-close
-    in W1 so the output moves at most that much (barycenters contract W1).
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("homotopy parameter must lie in [0, 1]")
-    sigma = sigma.normalize()
-    sites = np.vstack([fx, sigma.sites])
-    weights = np.concatenate([[t], (1.0 - t) * sigma.weights])
-    mix = DiscreteMeasure(sites, weights)
-    return barycenter(mix, tol=tol).coords

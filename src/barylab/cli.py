@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, fixtures, hyperboloid as hyp
+from . import __version__, fixtures, floatfmt, hyperboloid as hyp
 from .barycenter import barycenter
 from .bcg import bcg_scan
 from .errors import BarylabError, BoundViolationError, ConfigurationError, SolverFailureError
@@ -65,22 +65,25 @@ def _fmt(x):
     return text
 
 
-def _cells(col):
-    if not isinstance(col, np.ndarray):
-        return map(_fmt, col)
-    # a numpy string column holds cells already formatted by _fmt
-    return col.tolist() if col.dtype.kind == "U" else map(repr, col.tolist())
+CSV_BLOCK_CELLS = 16384  # cells per floatfmt call: its temporaries stay a few MB
 
 
 def _write_csv(out_dir, name, config, header, columns):
     """Write a CSV report (version/digest comment, header, one row per column
-    entry) to out_dir/name and return its path.  Numeric numpy columns skip
-    _fmt (repr of each float); numpy string columns are written as is."""
-    cells = [_cells(col) for col in columns]
-    lines = [f"# barylab {__version__} config {_digest(config)}", ",".join(header)]
-    lines += map(",".join, zip(*cells))
+    entry) to out_dir/name and return its path.  When every column is a
+    numeric numpy array, floatfmt renders the rows (repr of each cell) in
+    blocks; otherwise each cell goes through _fmt."""
+    columns = list(columns)
     path = os.path.join(out_dir, name)
-    _write(path, "\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# barylab {__version__} config {_digest(config)}\n" + ",".join(header) + "\n")
+        if columns and all(isinstance(col, np.ndarray) and col.dtype.kind in "fi"
+                           for col in columns):
+            block = max(1, CSV_BLOCK_CELLS // len(columns))
+            for lo in range(0, len(columns[0]), block):
+                fh.write(floatfmt.csv_rows([col[lo:lo + block] for col in columns]))
+        else:
+            fh.write("".join(",".join(map(_fmt, row)) + "\n" for row in zip(*columns)))
     return path
 
 
@@ -233,7 +236,7 @@ def cmd_bcg(args):
               + ["ratio", "bound", "deficit", "margin"])
     out = _write_csv(args.out_dir, "bcg_scan.csv", config, header,
                      [np.arange(report.count), *report.eigenvalues.T, report.ratios,
-                      np.full(report.count, _fmt(report.bound)), report.deficits,
+                      np.full(report.count, report.bound), report.deficits,
                       report.bound - report.ratios])
     _print_json({**_stamp(config), **report.summary(), "csv": out})
     return 0

@@ -110,9 +110,13 @@ def _bouquet_edges(words, rank):
 def fold_words(generators, rank: int, fold_order=None) -> FoldedGraph:
     """Fold the wedge of generator loops to the core graph.
 
-    `fold_order` is an optional numpy Generator; when given, the fold
-    worklist is shuffled each pass (for confluence experiments).  The
-    default order is deterministic: lowest vertex id first.
+    Each vertex class keeps one label map per direction, letter -> far
+    endpoint.  Entering an edge whose letter the map already holds queues
+    the two far endpoints for identification; identifying two classes
+    merges the smaller-rooted class's maps into the other's the same way.
+    `fold_order` is an optional numpy Generator; when given, each round of
+    pending identifications is shuffled (for confluence experiments).  The
+    default order is first queued, first merged.
     """
     words = [parse_word(w, rank) if isinstance(w, str) else list(w) for w in generators]
     words = [w for w in words if w]
@@ -120,43 +124,51 @@ def fold_words(generators, rank: int, fold_order=None) -> FoldedGraph:
         return FoldedGraph(rank, (0,), 0, ({},), ({},))
     edges, n = _bouquet_edges(words, rank)
     uf = _UnionFind(n)
-    while True:
-        canon = {(uf.find(u), letter, uf.find(v)) for u, letter, v in edges}
-        pairs = []
-        grouped_out = {}
-        grouped_in = {}
-        for u, letter, v in canon:
-            key = (u, letter)
-            if key in grouped_out and grouped_out[key] != v:
-                pairs.append((grouped_out[key], v))
-            else:
-                grouped_out[key] = v
-            key = (v, letter)
-            if key in grouped_in and grouped_in[key] != u:
-                pairs.append((grouped_in[key], u))
-            else:
-                grouped_in[key] = u
-        if not pairs:
-            edges = canon
-            break
+    maps = ([{} for _ in range(n)], [{} for _ in range(n)])  # out, in
+    pending = []
+
+    def enter(table, v, letter, w):
+        held = table[v].setdefault(letter, w)
+        if held != w:
+            pending.append((held, w))
+
+    for u, letter, v in edges:
+        enter(maps[0], u, letter, v)
+        enter(maps[1], v, letter, u)
+    while pending:
+        batch, pending = pending, []
         if fold_order is not None:
-            fold_order.shuffle(pairs)
-        else:
-            pairs.sort()
-        for a, b in pairs:
-            uf.union(uf.find(a), uf.find(b))
+            fold_order.shuffle(batch)
+        for a, b in batch:
+            ra, rb = uf.find(a), uf.find(b)
+            if ra == rb:
+                continue
+            root = uf.union(ra, rb)
+            gone = rb if root == ra else ra
+            for table in maps:
+                merged, table[gone] = table[gone], {}
+                for letter, w in merged.items():
+                    enter(table, root, letter, w)
+    edges = {(v, letter, uf.find(w)) for v, held in enumerate(maps[0])
+             for letter, w in held.items()}
     # prune spurs: non-base valence-1 vertices cannot carry reduced loops
     base = uf.find(0)
-    edges = set(edges)
-    while True:
-        degree = {}
-        for u, letter, v in edges:
-            degree[u] = degree.get(u, 0) + 1
+    degree, incident = {}, {}
+    for edge in edges:
+        for v in (edge[0], edge[2]):
             degree[v] = degree.get(v, 0) + 1
-        spurs = {v for v, d in degree.items() if d == 1 and v != base}
-        if not spurs:
-            break
-        edges = {e for e in edges if e[0] not in spurs and e[2] not in spurs}
+            incident.setdefault(v, []).append(edge)
+    spurs = [v for v, d in degree.items() if d == 1 and v != base]
+    while spurs:
+        v = spurs.pop()
+        if degree[v] != 1:
+            continue
+        edge = next(e for e in incident[v] if e in edges)
+        edges.discard(edge)
+        for w in (edge[0], edge[2]):
+            degree[w] -= 1
+            if degree[w] == 1 and w != base:
+                spurs.append(w)
     vertices = sorted({base} | {u for u, _, _ in edges} | {v for _, _, v in edges})
     relabel = {v: i for i, v in enumerate(vertices)}
     out = tuple({} for _ in vertices)

@@ -19,6 +19,8 @@ as it stood before the solver reused its trial logs (`dist_many` at each
 trial, `log_many` at each accepted iterate, F recomputed at exit), kept to
 check that the one-evaluation solver follows the same iterates bit for bit.
 `lipschitz_constant` is the all-pairs Lipschitz ratio that the tests read.
+`psi_homotopy` is the barycentric homotopy the barycenter tests check,
+built on the library's solver.
 
 `minkowski_dot_reference` is the Minkowski product as numpy's last-axis
 reduction sums it, and `sample_ball_reference` the ball sampler's draw
@@ -38,8 +40,9 @@ import math
 import numpy as np
 
 from barylab import hyperboloid as hyp
-from barylab.barycenter import ARMIJO_C1, STEP_CAP
+from barylab.barycenter import ARMIJO_C1, DEFAULT_TOL, STEP_CAP, barycenter
 from barylab.errors import UnbalancedMeasuresError
+from barylab.measures import DiscreteMeasure
 from barylab.transport import PIVOT_TOL
 
 
@@ -716,3 +719,18 @@ def einsum_denominator_matrix(H, J):
     for Ji in J:
         D = D - np.einsum("ij,...jk,kl->...il", Ji, H, Ji)
     return D
+
+
+def psi_homotopy(t, fx, sigma, tol=DEFAULT_TOL):
+    """Coordinates of the barycenter of the mixture t*delta(fx) + (1-t)*sigma.
+
+    At t=1 this is fx itself, at t=0 the barycenter of sigma, and it moves
+    continuously in t: the mixture is (|t-t'| * W1(delta_fx, sigma))-close
+    in W1 so the output moves at most that much (barycenters contract W1).
+    """
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("homotopy parameter must lie in [0, 1]")
+    sigma = sigma.normalize()
+    sites = np.vstack([fx, sigma.sites])
+    weights = np.concatenate([[t], (1.0 - t) * sigma.weights])
+    return barycenter(DiscreteMeasure(sites, weights), tol=tol).coords

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from barylab import hyperboloid as hyp
-from barylab.barycenter import BarycenterResult, barycenter, objective, psi_homotopy
+from barylab.barycenter import BarycenterResult, barycenter, objective
 from barylab.errors import EmptyMeasureError, InvalidPointError, SolverFailureError
 from barylab.measures import DiscreteMeasure
 from barylab.transport import wasserstein1
 
-from oracles import grid_barycenter_objective, hyperbolic_metric, two_evaluation_barycenter
+from oracles import (grid_barycenter_objective, hyperbolic_metric, psi_homotopy,
+                     two_evaluation_barycenter)
 
 RNG = np.random.default_rng(42)
 

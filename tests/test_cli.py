@@ -946,19 +946,24 @@ def test_naturalmap_mesh_radius_output_pinned(tmp_path):
 
 
 @pytest.mark.parametrize("argv, csv_sha, stdout_sha", [
-    pytest.param(["--N", "3"],
+    pytest.param(["--seed", "1", "bcg", "--N", "3", "--count", "3000"],
                  "3cc4025764a385b2eef93799c7aeacf921ecfb8d022123f157afc9ad7f8184e7",
                  "073abdf7be2483815a6653c38c19914c6d16ac2de20b8557b6ebf9cdaaf89c33", id="N3d1"),
-    pytest.param(["--N", "6", "--d", "2"],
+    pytest.param(["--seed", "1", "bcg", "--N", "6", "--d", "2", "--count", "3000"],
                  "1ea3bd40b1df6538d582a2a40d1b5f002a55f6d404b80821b3277d05699b13c7",
                  "ee1bf207ee1098b2a42449f1bc5ea535e0932a0d3b0344fc297574ca975e03b2", id="N6d2"),
+    # many CSV blocks and two scan chunks
+    pytest.param(["--seed", "2", "bcg", "--N", "4", "--d", "2", "--count", "21000"],
+                 "4390eaf5488e3f7af07e2d5275903cb7aaeeeab967ffbf4b97e4d32b421476b4",
+                 "954aea46818a49079d47d661c680fbe5e391f73bd7ad602ec63d5cf6758b9703",
+                 id="N4d2-21000"),
 ])
 def test_bcg_output_pinned(argv, csv_sha, stdout_sha, tmp_path):
-    """`bcg --seed 1 --count 3000` writes the bytes recorded at commit
-    fc5470a: the sha256 of bcg_scan.csv, and of stdout without its "csv"
-    line (the one path-dependent field).  It moves under the same rule as
-    test_naturalmap_output_pinned."""
-    code, out, files = run_cli(["--seed", "1", "bcg", *argv, "--count", "3000"], tmp_path)
+    """`bcg` writes the bytes recorded at commit fc5470a (the first two) and
+    656e5ad (the third): the sha256 of bcg_scan.csv, and of stdout without
+    its "csv" line (the one path-dependent field).  It moves under the same
+    rule as test_naturalmap_output_pinned."""
+    code, out, files = run_cli(argv, tmp_path)
     assert code == 0
     stdout = "".join(line for line in out.splitlines(keepends=True)
                      if not line.startswith('  "csv": '))
