@@ -40,7 +40,6 @@ M32 = _U(0xFFFFFFFF)
 M63 = _U((1 << 63) - 1)
 H7F = _U(0x7F7F7F7F7F7F7F7F)
 H80 = _U(0x8080808080808080)
-ONES = _U(0x0101010101010101)
 ASCII0 = _U(0x3030303030303030)
 T_MASK = _U((1 << 52) - 1)
 POW10 = np.array([10 ** i for i in range(20)], dtype=_U)
@@ -132,15 +131,14 @@ def _span_table():
     0-2  bytes [f, p) of words 0-2 (the integer part)
     3-5  bytes >= p of words 0-2 (the fraction)
     6-9  a "." in byte p of words 0-3"""
-    rows = []
-    for f in range(25):
-        for p in range(25):
-            head = sum(0xFF << (8 * b) for b in range(f, p))
-            tail = sum(0xFF << (8 * b) for b in range(p, 24))
-            dot = ord(".") << (8 * p)
-            rows.append([(w >> (64 * j)) & ((1 << 64) - 1)
-                         for w, n in ((head, 3), (tail, 3), (dot, 4)) for j in range(n)])
-    return np.array(rows, dtype=_U).T.copy()
+    f, p = np.divmod(np.arange(625), 25)
+    byte = np.arange(32)
+    head = ((byte >= f[:, None]) & (byte < p[:, None])) * 0xFF
+    tail = ((byte >= p[:, None]) & (byte < 24)) * 0xFF
+    dot = (byte == p[:, None]) * ord(".")
+    words = [m.astype(np.uint8).view("<u8") for m in (head, tail, dot)]  # (625, 4)
+    rows = np.concatenate([words[0][:, :3], words[1][:, :3], words[2]], axis=1).T
+    return np.ascontiguousarray(rows, dtype=_U)
 
 
 SPANS = _span_table()
@@ -254,7 +252,7 @@ def _float_words(x, out):
     point = first + layout[0].view(np.int64)
     span = SPANS.take(first * 25 + point, axis=1, mode="clip")
     ascii_ = field | ASCII0
-    # word 0 holds only the first digit (byte 7), so all of it lies at or
+    # word 0 holds at most the first digit (byte 7), which lies at or
     # before the last nonzero digit
     trailing = TRAILING.take(field[1:].astype(np.float64).view(_U) >> 52)
     trailing[0] |= -(field[2] != 0).astype(_U)
