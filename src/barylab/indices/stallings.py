@@ -113,7 +113,8 @@ def fold_words(generators, rank: int, fold_order=None) -> FoldedGraph:
     Each vertex class keeps one label map per direction, letter -> far
     endpoint.  Entering an edge whose letter the map already holds queues
     the two far endpoints for identification; identifying two classes
-    merges the smaller-rooted class's maps into the other's the same way.
+    enters the maps of the class with the larger root into the other's the
+    same way.
     `fold_order` is an optional numpy Generator; when given, each round of
     pending identifications is shuffled (for confluence experiments).  The
     default order is first queued, first merged.
